@@ -49,8 +49,11 @@ points approaching the arc are the delicate case; three devices keep the
 evaluation uniformly accurate:
 
 * subtraction of the density value at the nearest node plus an exact
-  telescoping-logarithm integral of the constant along the arc polyline
-  (this also makes the tail beyond the last node exact to O(e^{-W_table}));
+  integral of the constant along the arc polyline 0 -> t_1 ... t_M -> 1
+  (this also makes the tail beyond the last node exact to O(e^{-W_table})).
+  The real parts of its segment logarithms telescope to log(|1-t|/|t|), so
+  only the imaginary part is summed, as atan2(cross, dot) of consecutive
+  vertices seen from t;
 * two auxiliary tables with the arc shifted by +-eta in the strip
   coordinate; a point near the lower/upper strip boundary is evaluated
   against the table whose deformed arc lies on the far side, which is
@@ -58,6 +61,22 @@ evaluation uniformly accurate:
   path keeps the exact endpoints t = 0 and t = 1 via a short connector);
 * panel refinement of the tables near the projections of G2 poles that
   approach the carrier (which happens as Phi -> 3*pi/2).
+
+The sum runs in blocks of about _CAUCHY_BLOCK (point, node) pairs, so its
+real work arrays stay in cache.  Per block, dx + i*dy = t_j - t and
+r2 = dx^2 + dy^2 are formed once; r2 decides the near rows, and with dx, dy
+scaled by 1/r2 the plain sum of dens_j/(t_j - t) over every row is two real
+matrix products with (Re dens, Im dens).  Only the near rows are then redone
+with the subtraction above.  The real and imaginary parts of t and of the
+density, the weights t'*jac and the squared near radii are computed once,
+when a table is built.
+
+In the Elementary branch each coth((w - a)/3) term of Q (period 3*pi*i) and
+the pi*i-periodic G2 inside m are evaluated at the translate of w - a (of w
+for G2) by a whole number of periods that lies nearest the real axis.  The
+periods are subtracted with pi split into two doubles and an error-free
+difference; rounding w - a directly at |Im w| ~ 16 costs a point near a
+pole up to 5e-13 of the difference-equation residual.
 """
 
 from __future__ import annotations
@@ -123,20 +142,83 @@ def _guard(w: np.ndarray, anchors, period, clearance: float, what: str) -> None:
         )
 
 
+# pi = _PI_HI + _PI_LO to about 1e-24; _PI_HI keeps 26 significant bits, so
+# n * _PI_HI is exact for every integer |n| < 2**27.
+_PI_HI = math.ldexp(math.floor(math.ldexp(math.pi, 24)), -24)
+_PI_LO = (math.pi - _PI_HI) + 1.2246467991473532e-16  # + (pi - math.pi)
+
+
+def _minus_nearest_image(w: np.ndarray, base: complex, c: int,
+                         period: int) -> np.ndarray:
+    """w - (base + m*pi*i) for the m in c + period*Z that makes |Im| least.
+
+    Im w - m*pi is the one difference that can lose a small result; it is
+    formed error-free (Knuth's TwoSum) with pi split into two doubles, so a
+    point near a pole of a (period*pi*i)-periodic function keeps its
+    distance to the pole even where |Im w| is large.
+    """
+    y = w.imag
+    m = c + period * np.round((y - base.imag - c * PI) / (period * PI))
+    b = m * _PI_HI
+    s = y - b
+    bb = s - y
+    err = (y - (s - bb)) - (b + bb)
+    return (w.real - base.real) + 1j * ((s - base.imag) + (err - m * _PI_LO))
+
+
 def _coth(z: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         return 1.0 / np.tanh(z)
 
 
+# Pairs of (evaluation point, table node) per block of the Cauchy sum: a few
+# real (block,) work arrays of this many doubles stay cache resident.
+_CAUCHY_BLOCK = 1 << 15
+
+
 @dataclass
 class _CauchyTable:
+    """Quadrature of the Cauchy integral along one (possibly shifted) arc.
+
+    Node j carries t_j = t(w_j) and the weight tpj_j = t'(w_j) * jac_j, where
+    jac is tangent * panel scale * Gauss weight, so the density on the arc
+    is dens_j = G2(w_j) * tpj_j.  Everything _cauchy_eval needs is split
+    into real arrays once here.
+    """
+
     shift: float
-    w: np.ndarray
-    jac: np.ndarray       # tangent * panel scale * gauss weight
     g2: np.ndarray
-    t: np.ndarray
-    tp: np.ndarray
-    t_poly: np.ndarray    # [0, t(path nodes)..., 1]
+    tpj: np.ndarray
+    t_re: np.ndarray
+    t_im: np.ndarray
+    dens_ri: np.ndarray   # (M, 2): Re and Im of g2 * tpj
+    near_r2: np.ndarray   # (10 * local node spacing)^2
+
+    @classmethod
+    def from_nodes(cls, shift: float, g2: np.ndarray, t: np.ndarray,
+                   tpj: np.ndarray) -> "_CauchyTable":
+        dens = g2 * tpj
+        # Local node spacing decides whether the plain quadrature sum
+        # resolves the Cauchy pole at t or the subtraction device is needed.
+        gaps = np.abs(np.diff(t))
+        sp = np.empty(t.size)
+        sp[0] = gaps[0]
+        sp[-1] = gaps[-1]
+        sp[1:-1] = 0.5 * (gaps[:-1] + gaps[1:])
+        return cls(shift=shift, g2=g2, tpj=tpj,
+                   t_re=np.ascontiguousarray(t.real),
+                   t_im=np.ascontiguousarray(t.imag),
+                   dens_ri=np.column_stack([dens.real, dens.imag]),
+                   near_r2=(10.0 * sp) ** 2)
+
+    @property
+    def t(self) -> np.ndarray:
+        return self.t_re + 1j * self.t_im
+
+    @property
+    def t_poly(self) -> np.ndarray:
+        """The arc polyline [0, t(path nodes)..., 1]."""
+        return np.concatenate([[0.0 + 0.0j], self.t, [1.0 + 0.0j]])
 
 
 class KernelEngine:
@@ -290,8 +372,11 @@ class KernelEngine:
         arr, scalar = _as_c_array(w)
         p1 = self.branch.p1
         _guard(arr, (p1, -p1), 1j * PI, self.pole_clearance, "m")
-        g2 = (1j * self.omega ** 2 * np.sinh(2.0 * arr)
-              / (self.omega ** 2 * np.sinh(arr) ** 2 + self.k ** 2))
+        # G2 is pi*i periodic here; evaluate it at the translate of w
+        # nearest the real axis.
+        z = _minus_nearest_image(arr, 0j, 0, 1)
+        g2 = (1j * self.omega ** 2 * np.sinh(2.0 * z)
+              / (self.omega ** 2 * np.sinh(z) ** 2 + self.k ** 2))
         val = (PI + 2j * arr) / (6.0 * PI) * g2
         return _ret(val, scalar)
 
@@ -300,16 +385,17 @@ class KernelEngine:
         m1 = -p1 / (3.0 * PI) + 1j / 6.0
         m2 = -p1 / (3.0 * PI) - 1j / 6.0
         m3 = -p1 / (3.0 * PI) + 1j / 2.0
-        # Anchor/coefficient pairs of Q = sum c*coth((w-a)/3); anchors come in
-        # h1-conjugate pairs (a, pi*i-a) with opposite coefficients, which is
-        # what makes Q automorphic while repairing the residues of m.
+        # Terms c*coth((w-a)/3) of Q, anchor a = sign*p1 + l*pi*i given as
+        # (sign*p1, l, c); anchors come in h1-conjugate pairs (a, pi*i-a)
+        # with opposite coefficients, which is what makes Q automorphic
+        # while repairing the residues of m.
         return (
-            (p1, (1j - m1) / 3.0),
-            (-p1 + 1j * PI, -(1j - m1) / 3.0),
-            (p1 + 1j * PI, -m2 / 3.0),
-            (-p1, m2 / 3.0),
-            (p1 - 1j * PI, -m3 / 3.0),
-            (-p1 - 1j * PI, m3 / 3.0),
+            (p1, 0, (1j - m1) / 3.0),
+            (-p1, 1, -(1j - m1) / 3.0),
+            (p1, 1, -m2 / 3.0),
+            (-p1, 0, m2 / 3.0),
+            (p1, -1, -m3 / 3.0),
+            (-p1, -1, m3 / 3.0),
         )
 
     def Q_func(self, w):
@@ -319,8 +405,9 @@ class KernelEngine:
         p1 = self.branch.p1
         _guard(arr, (p1, -p1), 1j * PI, self.pole_clearance, "Q")
         val = np.zeros(arr.shape, dtype=complex)
-        for a, coeff in self._q_terms():
-            val += coeff * _coth((arr - a) / 3.0)
+        for base, l, coeff in self._q_terms():
+            # coth(z/3) is 3*pi*i periodic: reduce w - a by that period.
+            val += coeff * _coth(_minus_nearest_image(arr, base, l, 3) / 3.0)
         return _ret(val, scalar)
 
     # ------------------------------------------------------------------
@@ -391,12 +478,8 @@ class KernelEngine:
 
         w = np.concatenate(ws)
         jac = np.concatenate(jacs)
-        g2 = self.g2_hat(w)
-        t = self.t_map(w)
-        tp = self.dt_map(w)
-        t_poly = np.concatenate([[0.0 + 0.0j], t, [1.0 + 0.0j]])
-        return _CauchyTable(shift=shift, w=w, jac=jac, g2=g2, t=t, tp=tp,
-                            t_poly=t_poly)
+        return _CauchyTable.from_nodes(shift, self.g2_hat(w), self.t_map(w),
+                                       self.dt_map(w) * jac)
 
     def _build_cauchy(self, n_beta, W_table):
         if W_table is None:
@@ -436,53 +519,75 @@ class KernelEngine:
     # Cauchy integral evaluation
 
     @staticmethod
-    def _polyline_log(poly: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """Int dt'/(t'-t) along the polyline, by telescoping segment logs."""
-        num = poly[None, 1:] - t[:, None]
-        den = poly[None, :-1] - t[:, None]
-        return np.sum(np.log(num / den), axis=1)
+    def _polyline_log(ux: np.ndarray, uy: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Int dt'/(t'-t) along the arc polyline 0 -> t_1 ... t_M -> 1.
+
+        ux + i*uy holds t_j - t, one row per point.  The real parts of the
+        segment logs telescope to log(|1-t|/|t|); the imaginary part sums
+        the angle atan2(cross, dot) that each segment subtends at t.
+        """
+        x = t.real
+        y = t.imag
+        cross = ux[:, :-1] * uy[:, 1:]
+        tmp = uy[:, :-1] * ux[:, 1:]
+        cross -= tmp
+        dot = np.multiply(ux[:, :-1], ux[:, 1:])
+        np.multiply(uy[:, :-1], uy[:, 1:], out=tmp)
+        dot += tmp
+        ang = np.sum(np.arctan2(cross, dot, out=cross), axis=1)
+        # The end segments 0 -> t_1 and t_M -> 1.
+        ang += np.arctan2(y * ux[:, 0] - x * uy[:, 0],
+                          -x * ux[:, 0] - y * uy[:, 0])
+        ang += np.arctan2(-ux[:, -1] * y - uy[:, -1] * (1.0 - x),
+                          ux[:, -1] * (1.0 - x) - uy[:, -1] * y)
+        with np.errstate(divide="ignore"):
+            return np.log(np.abs(1.0 - t) / np.abs(t)) + 1j * ang
 
     def _cauchy_eval(self, t: np.ndarray, table: _CauchyTable) -> np.ndarray:
         t = np.asarray(t, dtype=complex).ravel()
         out = np.empty(t.shape, dtype=complex)
-        dens = table.g2 * table.tp * table.jac
-        tpj = table.tp * table.jac
-        # Local node spacing, for deciding whether the plain quadrature sum
-        # resolves the Cauchy pole at t or the subtraction device is needed.
-        gaps = np.abs(np.diff(table.t))
-        sp = np.empty(table.t.size)
-        sp[0] = gaps[0]
-        sp[-1] = gaps[-1]
-        sp[1:-1] = 0.5 * (gaps[:-1] + gaps[1:])
-        chunk = max(1, int(5e5 // max(table.t.size, 1)))
-        for lo in range(0, t.size, chunk):
-            tc = t[lo:lo + chunk]
-            diff = table.t[None, :] - tc[:, None]
-            absdiff = np.abs(diff)
-            jstar = np.argmin(absdiff, axis=1)
-            dmin = absdiff[np.arange(tc.size), jstar]
+        rows = max(1, _CAUCHY_BLOCK // table.t_re.size)
+        for lo in range(0, t.size, rows):
+            tc = t[lo:lo + rows]
+            dx = table.t_re[None, :] - tc.real[:, None]
+            dy = table.t_im[None, :] - tc.imag[:, None]
+            r2 = dx * dx
+            r2 += dy * dy
+            jstar = np.argmin(r2, axis=1)
+            rmin = r2[np.arange(tc.size), jstar]
             # Near zone: close to a node relative to local spacing, or close
             # to either arc endpoint (where the truncated tail of the plain
             # sum would be felt); only there is the exact polyline log used.
-            near = (
-                (dmin < 10.0 * sp[jstar])
+            near = np.flatnonzero(
+                (rmin < table.near_r2[jstar])
                 | (np.abs(tc - 1.0) < 1e-2)
                 | (np.abs(tc) < 1e-2)
             )
-            vals = np.empty(tc.shape, dtype=complex)
-            far = ~near
-            if np.any(far):
-                vals[far] = np.sum(dens[None, :] / diff[far], axis=1)
-            if np.any(near):
+            if near.size:
+                L = self._polyline_log(dx[near], dy[near], tc[near])
+            # 1/(t_j - t) = (dx - i*dy)/r2, so with dx, dy scaled by 1/r2 the
+            # far sum of dens_j/(t_j - t) is two real (rows, M) x (M, 2)
+            # products.  A point on a node, where the integral is undefined,
+            # gives nan.
+            with np.errstate(divide="ignore", invalid="ignore"):
+                np.divide(1.0, r2, out=r2)
+                dx *= r2
+                dy *= r2
+                a = dx @ table.dens_ri
+                b = dy @ table.dens_ri
+            vals = (a[:, 0] + b[:, 1]) + 1j * (a[:, 1] - b[:, 0])
+            if near.size:
+                # Subtract the density at the nearest node, whose term is then
+                # exactly zero.
                 g2s = table.g2[jstar[near]]
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    ratio = (dens[None, :] - g2s[:, None] * tpj[None, :]) \
-                        / diff[near]
-                np.nan_to_num(ratio, copy=False, nan=0.0, posinf=0.0,
-                              neginf=0.0)
-                L = self._polyline_log(table.t_poly, tc[near])
-                vals[near] = np.sum(ratio, axis=1) + g2s * L
-            out[lo:lo + chunk] = vals / (2j * PI)
+                inv = np.empty((near.size, table.t_re.size), dtype=complex)
+                inv.real = dx[near]
+                np.negative(dy[near], out=inv.imag)
+                num = np.subtract(table.g2[None, :], g2s[:, None])
+                num *= table.tpj
+                num *= inv
+                vals[near] = np.sum(num, axis=1) + g2s * L
+            out[lo:lo + rows] = vals / (2j * PI)
         return out
 
     def _arc_distance(self, t: np.ndarray) -> np.ndarray:

@@ -136,11 +136,17 @@ def u1_field(
         fine = _integrate(engine, contour.refined(), pt)
         est = abs(val - fine)
         val = fine
-        if est > engine.tol.id_tol:
+        # Written so that a NaN estimate fails too.
+        if not est <= engine.tol.id_tol:
             raise QuadratureError(
                 f"node-doubling disagreement {est:.3e} exceeds id_tol at "
                 f"(rho={pt.rho:g}, theta={pt.theta:g})"
             )
+    if not cmath.isfinite(val):
+        raise QuadratureError(
+            f"non-finite field value {val} at (rho={pt.rho:g}, "
+            f"theta={pt.theta:g}) on contour {contour.label!r}"
+        )
     return FieldSample(pt, val, "FullContour", est)
 
 
@@ -280,8 +286,10 @@ def grid_eval(
 
     n_threads = int(os.environ.get("WEDGE_THREADS", "1") or "1")
     if n_threads > 1:
-        # Warm the per-theta kernel caches serially (deterministic inserts),
-        # the integral assembly then runs embarrassingly parallel.
+        # Nothing is warmed beforehand: rows run concurrently and fill the
+        # contour's caches (kernel sweeps, the refined contour) on first
+        # use.  Two threads that race on one entry both compute it, with
+        # identical results, and the last write wins.
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
             rows = list(pool.map(row, thetas))
     else:

@@ -291,3 +291,50 @@ def test_build_engine_second_wavenumber():
     e2 = build_engine(p, k=p.k2)
     assert isinstance(e2, KernelEngine)
     assert abs(np.sinh(e2.branch.p1) - 1j * p.k2 / p.omega) < 1e-10
+
+
+def _reference_cauchy_eval(t, table):
+    """The plain complex-arithmetic form of KernelEngine._cauchy_eval.
+
+    Complex division on every (point, node) pair, and the polyline integral
+    as a sum of complex segment logs; kept here as the oracle for the
+    blocked real-arithmetic evaluator.
+    """
+    tpj = table.tpj
+    dens = table.g2 * tpj
+    gaps = np.abs(np.diff(table.t))
+    sp = np.empty(table.t.size)
+    sp[0] = gaps[0]
+    sp[-1] = gaps[-1]
+    sp[1:-1] = 0.5 * (gaps[:-1] + gaps[1:])
+    diff = table.t[None, :] - t[:, None]
+    absdiff = np.abs(diff)
+    jstar = np.argmin(absdiff, axis=1)
+    dmin = absdiff[np.arange(t.size), jstar]
+    near = ((dmin < 10.0 * sp[jstar]) | (np.abs(t - 1.0) < 1e-2)
+            | (np.abs(t) < 1e-2))
+    vals = np.sum(dens[None, :] / diff, axis=1)
+    g2s = table.g2[jstar[near]]
+    ratio = (dens[None, :] - g2s[:, None] * tpj[None, :]) / diff[near]
+    poly = table.t_poly
+    logs = np.log((poly[None, 1:] - t[near, None])
+                  / (poly[None, :-1] - t[near, None]))
+    vals[near] = np.sum(ratio, axis=1) + g2s * np.sum(logs, axis=1)
+    return vals / (2j * PI), near
+
+
+@pytest.mark.parametrize("phi", [4 * PI / 3, 7 * PI / 4, 1.05 * PI])
+def test_cauchy_eval_matches_complex_reference(phi):
+    e = build_engine(ProblemParams(omega=0.5 + 1j, phi=phi))
+    rng = np.random.default_rng(29)
+    for key in ("base", "up", "down"):
+        tab = e._tables[key]
+        nodes = tab.t[rng.choice(tab.t.size, 40, replace=False)]
+        rim = rng.uniform(1e-6, 1e-4, 40) * np.exp(2j * PI * rng.random(40))
+        ends = rng.uniform(1e-4, 1e-2, 40) * np.exp(2j * PI * rng.random(40))
+        far = 3.0 * (rng.standard_normal(60) + 1j * rng.standard_normal(60))
+        t = np.concatenate([far, nodes + rim, ends, 1.0 + ends])
+        want, near = _reference_cauchy_eval(t, tab)
+        assert near.sum() >= 120 and (~near).sum() >= 20
+        got = e._cauchy_eval(t, tab)
+        assert np.max(np.abs(got - want) / np.abs(want)) < 1e-13

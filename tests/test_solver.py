@@ -16,7 +16,7 @@ import pytest
 
 from wedgebvp.core import PI, PolarPoint, ProblemParams
 from wedgebvp.contour import decomposition_contour, sommerfeld_double_loop
-from wedgebvp.errors import DomainError, GeometryError, RayError
+from wedgebvp.errors import DomainError, GeometryError, QuadratureError, RayError
 from wedgebvp.kernel import build_engine
 from wedgebvp.solver import (
     FieldSample,
@@ -227,3 +227,16 @@ def test_field_sample_record(setup):
     s = u1_field(PolarPoint(1.0, 1.8 * PI), e1, cont, check=False)
     assert isinstance(s, FieldSample)
     assert s.method == "FullContour"
+
+
+def test_overflowing_sample_raises_instead_of_nan():
+    # On the double loop's vertical links e^{-omega*rho*sinh w} overflows at
+    # this radius; the sample must be refused, not returned as NaN.
+    p = ProblemParams(omega=1j, phi=7 * PI / 4)
+    e = build_engine(p)
+    cont = sommerfeld_double_loop(p, rho_min=0.25)
+    with np.errstate(all="ignore"):
+        with pytest.raises(QuadratureError):
+            u1_field(PolarPoint(300.0, 1.9 * PI), e, cont)
+        with pytest.raises(QuadratureError):
+            u1_field(PolarPoint(300.0, 1.9 * PI), e, cont, check=False)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from wedgebvp.core import PI, ProblemParams
-from wedgebvp.kernel import build_engine
+from wedgebvp.kernel import _lattice_distance, build_engine
 from wedgebvp.verify import (
     CheckResult,
     DEFAULT_SEED,
@@ -23,6 +23,7 @@ from wedgebvp.verify import (
     check_pole_portrait,
     residue_at,
     run_full_suite,
+    _sample_points,
 )
 from wedgebvp.contour import sommerfeld_double_loop
 
@@ -121,3 +122,39 @@ def test_seed_changes_sampled_context():
     b = check_difference_equation(e, seed=2)
     assert a.passed and b.passed
     assert a.context != b.context
+
+
+def test_sampled_images_clear_the_g2_pole_lattice():
+    # Every image the difference-equation and automorphy checks form from a
+    # sample must keep the clearance from all G2 poles, not only from the
+    # few listed by pole_list().
+    e = build_engine(ProblemParams(omega=1j, phi=4 * PI / 3))
+    shifts = np.array([0.0, 2j * e.phi, -2j * e.phi, 1j * PI])
+    for seed in range(200):
+        w = _sample_points(e, 100, np.random.default_rng(seed))
+        images = np.concatenate([w[:, None] + shifts,
+                                 -w[:, None] + 1j * PI + shifts[:3]], axis=1)
+        d, _ = _lattice_distance(images.ravel(), e._g2_anchors(), 2j * PI)
+        assert d.min() > 0.05, seed
+
+
+@pytest.mark.parametrize("params, seed", [
+    # A sample 8.7e-4 from a G2 pole outside pole_list() (PoleError before).
+    (ProblemParams(omega=1j, phi=4 * PI / 3), 1792600487),
+    # The Elementary difference equation at 1.18e-12 before the periodic
+    # reduction in m_func/Q_func; its exact floor is 6.46e-13.
+    (ProblemParams(omega=0.5 + 1j, phi=1.5 * PI), 1033173053),
+])
+def test_full_suite_passes_former_failures(params, seed):
+    report = run_full_suite(params, seed=seed)
+    assert report.overall, report.table()
+
+
+def test_asymptotics_checks_elementary_g2_tail():
+    # G2 tends to -+2i*sin(Phi) as Re w -> +-infinity at Phi = 3*pi/2 too;
+    # at W = 12 it is within 5e-10 of the limit.
+    for omega in (1j, 0.5 + 1j):
+        res = check_asymptotics(build_engine(ProblemParams(omega=omega, phi=1.5 * PI)))
+        assert res.passed
+        assert abs(res.context["g2_tail_plus"] - 2j) < 1e-9
+        assert abs(res.context["g2_tail_minus"] + 2j) < 1e-9
