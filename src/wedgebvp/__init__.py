@@ -12,7 +12,6 @@ from .core import (
 )
 from .contour import (
     ContourPolyline,
-    beta_hat,
     decomposition_contour,
     gamma_point,
     sommerfeld_double_loop,
@@ -27,7 +26,6 @@ __all__ = [
     "PolarPoint",
     "ProblemParams",
     "Tolerances",
-    "beta_hat",
     "branch_point",
     "build_engine",
     "decomposition_contour",

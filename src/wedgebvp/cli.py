@@ -47,7 +47,6 @@ _ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _PATH_KEYS
 class RunConfig:
     params: ProblemParams
     grid: GridSpec
-    tolerances: Tolerances
     outputs: Dict[str, str]
     command: str = "verify"
     seed: int = verify.DEFAULT_SEED
@@ -109,7 +108,7 @@ def parse_config(text: str, command: str = "verify") -> RunConfig:
     )
     outputs = {k: str(raw[k]) for k in _PATH_KEYS if k in raw}
     return RunConfig(
-        params=params, grid=grid, tolerances=tol, outputs=outputs,
+        params=params, grid=grid, outputs=outputs,
         command=command, seed=int(raw.get("seed", verify.DEFAULT_SEED)),
     )
 
@@ -179,16 +178,12 @@ def _cmd_decompose(cfg: RunConfig, rho: float) -> int:
         fh.write("theta,re_u_p,im_u_p,re_u_d,im_u_d,re_u1,im_u1\n")
         for th in thetas:
             pt = PolarPoint(rho, float(th))
-            ray = abs(th - 1.5 * PI) < 1e-12
+            share = solver.plane_share(pt.theta)
             full = solver.u1_field(pt, engine, cont).value
-            dec_s = solver.u1_decomposed(pt, engine, dec, pv=ray)
+            # The principal value is needed exactly on the ray (share 1/2).
+            dec_s = solver.u1_decomposed(pt, engine, dec, pv=share == 0.5)
             up = solver.u_plane(pt, engine) if th >= 1.5 * PI else 0.0 + 0.0j
-            if th > 1.5 * PI and not ray:
-                ud = dec_s.value - up
-            elif ray:
-                ud = dec_s.value - 0.5 * up
-            else:
-                ud = dec_s.value
+            ud = dec_s.value - share * up
             fh.write(
                 f"{th:.17g},{up.real:.17g},{up.imag:.17g},"
                 f"{ud.real:.17g},{ud.imag:.17g},{full.real:.17g},{full.imag:.17g}\n"
@@ -238,3 +233,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -25,19 +25,19 @@ Contours provided:
   the right-hand loop between the same two curves;
 * the decomposition contour Gamma_{-5pi/2} (left to right) followed by
   Gamma_{-pi/2} (right to left), on which the plane/diffracted splitting of
-  the field is computed;
-* the arc beta_hat = { w in Gamma_{pi/2-Phi} : Re w >= 0 }, the carrier of
-  the jump problem solved by the kernel module.
+  the field is computed.
 
 Quadrature is composite Gauss-Legendre per panel; tail panels are spaced
 uniformly in sinh(Re w) so that the oscillation of the exponential factor is
-resolved evenly.
+resolved evenly.  The same panel builder (_panel_nodes, _gamma_piece,
+_vertical_piece, _insert_refinement) lays out the Cauchy tables of the
+kernel module along the arc Gamma_{pi/2-Phi}, Re w >= 0, and its shifts.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -121,29 +121,12 @@ class ContourPolyline:
     def integrate(self, fvals: np.ndarray) -> complex:
         return complex(np.sum(np.asarray(fvals) * self.dw * self.weight))
 
-    def component(self, name: str) -> "ContourPolyline":
-        for label, sl in self.components:
-            if label == name:
-                return ContourPolyline(
-                    self.w[sl], self.dw[sl], self.weight[sl], f"{self.label}:{name}"
-                )
-        raise KeyError(f"no component {name!r} in contour {self.label!r}")
-
     def refined(self) -> "ContourPolyline":
         if self._refiner is None:
             raise GeometryError(f"contour {self.label!r} is not refinable")
         if self._refined is None:
             self._refined = self._refiner()
         return self._refined
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("re_w,im_w,re_dw,im_dw,weight\n")
-            for w, dw, wt in zip(self.w, self.dw, self.weight):
-                fh.write(
-                    f"{w.real:.17g},{w.imag:.17g},{dw.real:.17g},"
-                    f"{dw.imag:.17g},{wt:.17g}\n"
-                )
 
 
 def _panel_nodes(breaks: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -164,13 +147,14 @@ def _tail_breaks(w1_from: float, w1_to: float, n_panels: int) -> np.ndarray:
     return np.arcsinh(np.linspace(s0, s1, n_panels + 1))
 
 
-def _insert_refinement(breaks: np.ndarray, center: float, min_width: float) -> np.ndarray:
-    """Add geometrically shrinking panels around an interior abscissa."""
+def _insert_refinement(
+    breaks: np.ndarray, center: float, min_width: float, width: float
+) -> np.ndarray:
+    """Add panels around an interior abscissa, halving from width to min_width."""
     lo, hi = breaks[0], breaks[-1]
     if not (lo < center < hi):
         return breaks
     extra = []
-    width = 0.4
     while width > min_width:
         extra.extend((center - width, center + width))
         width *= 0.5
@@ -180,21 +164,9 @@ def _insert_refinement(breaks: np.ndarray, center: float, min_width: float) -> n
 
 
 def _gamma_piece(
-    omega: complex,
-    alpha: float,
-    w1_from: float,
-    w1_to: float,
-    n_panels: int,
-    refine_centers: Iterable[float] = (),
-    min_width: float = 0.02,
+    omega: complex, alpha: float, breaks: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    reverse = w1_to < w1_from
-    lo, hi = sorted((w1_from, w1_to))
-    breaks = _tail_breaks(lo, hi, n_panels)
-    for c in refine_centers:
-        breaks = _insert_refinement(breaks, c, min_width)
-    if reverse:
-        breaks = breaks[::-1]
+    """Gauss panels on Gamma_alpha, traversed in the order of the breaks."""
     s, scale, wt = _panel_nodes(breaks)
     w = _gamma_points(omega, alpha, s)
     dw = (1.0 + 1j * _gamma_slope(omega, s)) * scale
@@ -240,13 +212,18 @@ def _concat(pieces):
     )
 
 
+def _tail_bound(omega: complex, phi: float, Wmax: float, rho: float) -> float:
+    """Bound on the integrand beyond |Re w| = Wmax: the decay of the
+    exponential factor times the linear growth of the kernel."""
+    kernel_growth = abs(math.sin(phi)) / phi * (Wmax + TWO_PI) + 3.0
+    return math.exp(-decay_rate(omega) * rho * math.cosh(Wmax)) * kernel_growth
+
+
 def _certify_tail(
     p: ProblemParams, Wmax: float, rho_min: float, tol: float
 ) -> None:
     """Check the truncation bound (kernel growth included) at the cut point."""
-    C = decay_rate(p.omega)
-    kernel_growth = abs(math.sin(p.phi)) / p.phi * (Wmax + TWO_PI) + 3.0
-    bound = math.exp(-C * rho_min * math.cosh(Wmax)) * kernel_growth
+    bound = _tail_bound(p.omega, p.phi, Wmax, rho_min)
     if bound > tol:
         raise GeometryError(
             f"tail bound {bound:.3e} exceeds tol {tol:.3e} at Wmax={Wmax:.3f} "
@@ -323,10 +300,11 @@ def sommerfeld_double_loop(
         a_hi = -PI / 2.0
         y_lo = gamma_height(geom_omega, -b) + a_lo
         y_hi = gamma_height(geom_omega, -b) + a_hi
+        tail = _tail_breaks(-Wmax, -b, n_tail)
         c2 = [
-            ("lower_left_tail", _gamma_piece(geom_omega, a_lo, -Wmax, -b, n_tail)),
+            ("lower_left_tail", _gamma_piece(geom_omega, a_lo, tail)),
             ("left_vertical", _vertical_piece(-b, y_lo, y_hi, n_vert)),
-            ("upper_left_tail", _gamma_piece(geom_omega, a_hi, -b, -Wmax, n_tail)),
+            ("upper_left_tail", _gamma_piece(geom_omega, a_hi, tail[::-1])),
         ]
         w2, dw2, wt2, comps2 = _concat(c2)
         # C1 = -C2 - 3pi*i, same node order (tangents flip sign with the map).
@@ -374,11 +352,10 @@ def decomposition_contour(
     n_half = max(10, n // 32)
 
     def build(n_half=n_half):
-        lower = _gamma_piece(p.omega, -5.0 * PI / 2.0, -Wmax, Wmax, 2 * n_half)
-        upper = _gamma_piece(
-            p.omega, -PI / 2.0, Wmax, -Wmax, 2 * n_half,
-            refine_centers=(x_pole,), min_width=0.01,
-        )
+        line = _tail_breaks(-Wmax, Wmax, 2 * n_half)
+        lower = _gamma_piece(p.omega, -5.0 * PI / 2.0, line)
+        refined = _insert_refinement(line, x_pole, 0.01, 0.4)
+        upper = _gamma_piece(p.omega, -PI / 2.0, refined[::-1])
         return _concat([("lower_line", lower), ("upper_line", upper)])
 
     w, dw, wt, comps = build()
@@ -397,28 +374,3 @@ def decomposition_contour(
     cont.meta["upper_ends"] = (complex(ends[0]), complex(ends[1]))
     return cont
 
-
-def beta_hat(p: ProblemParams, Wmax: float, n: int) -> ContourPolyline:
-    """The jump arc beta_hat: Gamma_{pi/2-Phi} restricted to Re w >= 0.
-
-    Nodes are graded toward both ends (endpoint behavior of the jump density
-    and of the conformal image near t=1 is the delicate part).
-    """
-    validate_params(p)
-    if Wmax <= 0 or n <= 0:
-        raise DomainError("beta_hat requires Wmax > 0 and n > 0")
-    alpha = PI / 2.0 - p.phi
-    # Sinusoidal grading of n nodes toward both endpoints.
-    u = (1.0 - np.cos(np.linspace(0.0, PI, n))) / 2.0
-    w1 = Wmax * u
-    w = _gamma_points(p.omega, alpha, w1)
-    dw = np.empty(n, dtype=complex)
-    tangent = 1.0 + 1j * _gamma_slope(p.omega, w1)
-    # Trapezoid-style weights on the irregular grid.
-    h = np.diff(w1)
-    wt = np.empty(n)
-    wt[0] = h[0] / 2.0
-    wt[-1] = h[-1] / 2.0
-    wt[1:-1] = (h[:-1] + h[1:]) / 2.0
-    dw[:] = tangent
-    return ContourPolyline(w, dw, wt, "beta_hat")

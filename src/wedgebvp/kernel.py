@@ -44,7 +44,8 @@ Two construction branches:
 Numerical notes
 ---------------
 The Cauchy integral is evaluated through precomputed tables of G2, t and t'
-along the arc (composite Gauss-Legendre in the w parameter).  Evaluation
+along the arc (composite Gauss-Legendre in the w parameter, laid out by the
+same panel builder as the field contours of the contour module).  Evaluation
 points approaching the arc are the delicate case; three devices keep the
 evaluation uniformly accurate:
 
@@ -81,7 +82,6 @@ pole up to 5e-13 of the difference-equation residual.
 
 from __future__ import annotations
 
-import cmath
 from contextlib import contextmanager
 import math
 from dataclasses import dataclass
@@ -91,20 +91,16 @@ import numpy as np
 
 from .core import (
     PI,
-    TWO_PI,
     BranchPoint,
     ProblemParams,
     branch_point,
     curve_offset,
-    gamma_height,
     validate_params,
 )
+from .contour import _gamma_piece, _insert_refinement, _vertical_piece
 from .errors import ConvergenceError, DomainError, NearArcError, PoleError
 
 PHI_SWITCH_EPS = 1e-9
-
-_GAUSS_N = 16
-_GX, _GW = np.polynomial.legendre.leggauss(_GAUSS_N)
 
 
 def _as_c_array(w) -> Tuple[np.ndarray, bool]:
@@ -231,9 +227,7 @@ class KernelEngine:
         self,
         params: ProblemParams,
         k: float,
-        W_switch: float = 8.0,
         n_beta: Optional[int] = None,
-        W_table: Optional[float] = None,
     ):
         validate_params(params)
         self.params = params
@@ -243,7 +237,6 @@ class KernelEngine:
         self.tol = params.tol
         self.pole_clearance = params.tol.pole_clearance
         self.branch: BranchPoint = branch_point(params, k)
-        self.W_switch = float(W_switch)
         self.q1 = -self.branch.p1 - 1j * PI + 2j * self.phi
         self.kind = (
             "Elementary"
@@ -254,7 +247,7 @@ class KernelEngine:
         self.const_C2: Optional[complex] = None
         self._tables: dict = {}
         if self.kind == "CauchyBuilt":
-            self._build_cauchy(n_beta, W_table)
+            self._build_cauchy(n_beta)
 
     @contextmanager
     def relaxed_guard(self, clearance: float = 1e-12):
@@ -442,49 +435,19 @@ class KernelEngine:
             gap = abs(curve_offset(self.omega, pole) - level)
             if gap < 0.6 and pole.real > -0.3:
                 center = max(pole.real, breaks[1] * 0.5)
-                extra = []
-                wdt = 0.5
-                floor_w = max(gap / 4.0, 5e-4)
-                while wdt > floor_w:
-                    extra.extend((center - wdt, center + wdt))
-                    wdt *= 0.5
-                extra.extend((center - floor_w, center + floor_w))
-                pts = np.concatenate([breaks, extra])
-                breaks = np.unique(pts[(pts >= 0.0) & (pts <= W_table)])
+                breaks = _insert_refinement(breaks, center, max(gap / 4.0, 5e-4), 0.5)
 
-        ws, jacs = [], []
+        pieces = [_gamma_piece(self.omega, level, breaks)]
         if shift != 0.0:
             # Connector from the exact arc start (t=0) to the shifted level.
             npan = max(2, int(math.ceil(abs(shift) / 0.05)))
-            yb = np.linspace(carrier, level, npan + 1)
-            half = 0.5 * np.diff(yb)
-            mid = 0.5 * (yb[1:] + yb[:-1])
-            y = (mid[:, None] + half[:, None] * _GX[None, :]).ravel()
-            ws.append(1j * y)
-            jacs.append(1j * np.repeat(half, _GAUSS_N) * np.tile(_GW, npan))
-
-        a = breaks[:-1]
-        bb = breaks[1:]
-        half = 0.5 * (bb - a)
-        mid = 0.5 * (bb + a)
-        w1 = (mid[:, None] + half[:, None] * _GX[None, :]).ravel()
-        ratio = self.omega.real / self.omega.imag
-        th = np.tanh(w1)
-        height = np.arctan(ratio * th) + level
-        slope = ratio * (1.0 - th * th) / (1.0 + (ratio * th) ** 2)
-        ws.append(w1 + 1j * height)
-        jacs.append((1.0 + 1j * slope) * np.repeat(half, _GAUSS_N)
-                    * np.tile(_GW, a.size))
-
-        w = np.concatenate(ws)
-        jac = np.concatenate(jacs)
+            pieces.insert(0, _vertical_piece(0.0, carrier, level, npan))
+        w, dw, wt = (np.concatenate(parts) for parts in zip(*pieces))
         return _CauchyTable.from_nodes(shift, self.g2_hat(w), self.t_map(w),
-                                       self.dt_map(w) * jac)
+                                       self.dt_map(w) * (dw * wt))
 
-    def _build_cauchy(self, n_beta, W_table):
-        if W_table is None:
-            W_table = (self.phi / PI) * 18.0 + 2.0
-        self._W_table = float(W_table)
+    def _build_cauchy(self, n_beta):
+        W_table = (self.phi / PI) * 18.0 + 2.0
 
         # Clearance of G2 poles above/below the carrier limits the arc shifts.
         carrier = PI / 2.0 - self.phi
@@ -710,21 +673,6 @@ class KernelEngine:
         val = self.v11_hat(arr) - self.g_hat(arr)
         return _ret(np.asarray(val), scalar)
 
-    def v1_asymptotic(self, w):
-        """Far-field form of v1; valid for |Re w| >= W_switch.
-
-        v1(w) ~ s*(sin Phi/Phi)*(w - pi*i/2) - e^{-s*i*Phi},  s = sign(Re w).
-        """
-        arr, scalar = _as_c_array(w)
-        if np.any(np.abs(arr.real) < self.W_switch):
-            raise DomainError(
-                f"v1_asymptotic requires |Re w| >= W_switch = {self.W_switch}"
-            )
-        s = np.sign(arr.real)
-        val = (s * (math.sin(self.phi) / self.phi) * (arr - 1j * PI / 2.0)
-               - np.exp(-1j * s * self.phi))
-        return _ret(val, scalar)
-
     # ------------------------------------------------------------------
     # introspection / export
 
@@ -762,12 +710,9 @@ class KernelEngine:
 def build_engine(
     params: ProblemParams,
     k: Optional[float] = None,
-    W_switch: float = 8.0,
     n_beta: Optional[int] = None,
-    W_table: Optional[float] = None,
 ) -> KernelEngine:
     """Construct a kernel engine for the given parameters and wavenumber."""
     if k is None:
         k = params.k1
-    return KernelEngine(params, k, W_switch=W_switch, n_beta=n_beta,
-                        W_table=W_table)
+    return KernelEngine(params, k, n_beta=n_beta)

@@ -39,12 +39,10 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .contour import ContourPolyline, decay_rate, decomposition_contour, sommerfeld_double_loop
+from .contour import ContourPolyline, _tail_bound, sommerfeld_double_loop
 from .core import PI, TWO_PI, PolarPoint, ProblemParams, theta_reflect
-from .errors import DomainError, GeometryError, PoleError, QuadratureError, RayError, FitError
+from .errors import DomainError, GeometryError, PoleError, QuadratureError, RayError, FitError, WedgeError
 from .kernel import KernelEngine
-
-RAY_THETA_GUARD = 1e-3  # route to the full contour this close to theta=3pi/2
 
 
 @dataclass(frozen=True)
@@ -75,8 +73,13 @@ class GridSpec:
 
 
 def _kernel_on(contour: ContourPolyline, engine: KernelEngine, theta: float) -> np.ndarray:
-    """v1 along the theta-shifted contour, cached per (engine, theta)."""
-    key = (id(engine), round(float(theta), 15))
+    """v1 along the theta-shifted contour, cached per (engine, theta).
+
+    The key holds the engine itself, not its id(): an id can be reused by a
+    later engine once this one is freed.  The cache thus keeps each engine
+    alive for as long as the contour.
+    """
+    key = (engine, round(float(theta), 15))
     vals = contour.cache.get(key)
     if vals is None:
         vals = engine.v1_hat(contour.w + 1j * theta)
@@ -86,9 +89,7 @@ def _kernel_on(contour: ContourPolyline, engine: KernelEngine, theta: float) -> 
 
 def _certify_rho(engine: KernelEngine, contour: ContourPolyline, rho: float) -> None:
     Wmax = float(np.max(np.abs(contour.w.real)))
-    C = decay_rate(engine.omega)
-    growth = abs(math.sin(engine.phi)) / engine.phi * (Wmax + TWO_PI) + 3.0
-    bound = math.exp(-C * rho * math.cosh(Wmax)) * growth
+    bound = _tail_bound(engine.omega, engine.phi, Wmax, rho)
     if bound > 100.0 * engine.tol.quad_rel:
         raise GeometryError(
             f"contour {contour.label!r} truncated at Wmax={Wmax:.3f} does not "
@@ -100,6 +101,17 @@ def _certify_rho(engine: KernelEngine, contour: ContourPolyline, rho: float) -> 
 def _moving_pole(engine: KernelEngine, theta: float) -> complex:
     """The unique kernel pole in w-space for the shift theta."""
     return -engine.branch.p1 + 1j * PI - 1j * theta
+
+
+def plane_share(theta: float) -> float:
+    """Share of the plane wave u_p in u1 = u_d + share * u_p.
+
+    0 before the ray theta = 3*pi/2, 1 beyond it, and 1/2 on the ray itself,
+    where the diffracted part is a principal value.
+    """
+    if abs(theta - 1.5 * PI) < 1e-12:
+        return 0.5
+    return 1.0 if theta > 1.5 * PI else 0.0
 
 
 def u_plane(pt: PolarPoint, engine: KernelEngine) -> complex:
@@ -179,7 +191,8 @@ def u1_decomposed(
     pt.require_in_wedge(engine.params)
     _certify_rho(engine, contour=dec_contour, rho=pt.rho)
     theta = pt.theta
-    ray = abs(theta - 1.5 * PI) < 1e-12
+    share = plane_share(theta)
+    ray = share == 0.5
     if ray and not pv:
         raise RayError(
             "theta = 3*pi/2 needs pv=True (or use u1_field on the full contour)"
@@ -217,12 +230,9 @@ def u1_decomposed(
         else:
             path = w_up
         total += residue * _polyline_cauchy(path, pole, pv=ray)
-    u_d = prefac * total
-    val = u_d
-    if theta > 1.5 * PI and not ray:
-        val = u_d + u_plane(pt, engine)
-    elif ray:
-        val = u_d + 0.5 * u_plane(pt, engine)
+    val = prefac * total
+    if share:
+        val = val + share * u_plane(pt, engine)
     return FieldSample(pt, val, "Decomposed", float("nan"))
 
 
@@ -264,6 +274,8 @@ def grid_eval(
     """Evaluate u1 (or U when engine2 is given) on the grid.
 
     Samples are returned row-major: one row per theta, rho varying fastest.
+    A point that raises a WedgeError becomes an "error:<class>" sample;
+    any other exception propagates.
     Rows are independent (kernel values are shared through the contour cache)
     and may be computed in parallel; WEDGE_THREADS caps the worker count.
     The assembly order is deterministic either way.
@@ -280,7 +292,7 @@ def grid_eval(
                     out.append(u1_field(pt, engine1, contour, check=check))
                 else:
                     out.append(U_total(pt, engine1, engine2, contour, check=check))
-            except Exception as exc:  # aggregate, do not abort the batch
+            except WedgeError as exc:  # aggregate, do not abort the batch
                 out.append(FieldSample(pt, complex("nan"), f"error:{exc.__class__.__name__}", float("inf")))
         return out
 

@@ -25,12 +25,12 @@ import cmath
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 
 from .contour import decomposition_contour, sommerfeld_double_loop
-from .core import PI, TWO_PI, PolarPoint, ProblemParams, branch_point, theta_reflect
+from .core import PI, TWO_PI, PolarPoint, ProblemParams
 from .errors import ConvergenceError
 from .kernel import KernelEngine, _lattice_distance, build_engine
 from . import solver
@@ -287,7 +287,7 @@ def check_helmholtz(
     for pt in points:
         rho, th = pt.rho, pt.theta
         ht = h / rho
-        pole = -engine.branch.p1 + 1j * PI - 1j * th
+        pole = solver._moving_pole(engine, th)
         if float(np.min(np.abs(fine.w - pole))) < 2.0 * ht:
             continue  # deformation corridor too narrow at this point
         kern = engine.v1_hat(fine.w + 1j * th)

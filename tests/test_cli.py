@@ -2,10 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import wedgebvp
 from wedgebvp.cli import main, parse_config
 from wedgebvp.core import PI
 from wedgebvp.errors import DomainError, ParseError
@@ -80,6 +84,18 @@ def test_main_config_error_exit_code(tmp_path):
     assert main(["verify", "--config", bad]) == 1
     assert main(["verify", "--config", str(tmp_path / "missing.cfg")]) == 1
     assert main(["verify"]) == 1  # argparse failure, not SystemExit
+
+
+def test_module_entry_point_runs_main(tmp_path):
+    src = os.path.dirname(os.path.dirname(wedgebvp.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "wedgebvp.cli", "verify",
+         "--config", str(tmp_path / "missing.cfg")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert "configuration error" in proc.stderr
 
 
 def test_field_command_writes_grid(tmp_path):

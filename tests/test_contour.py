@@ -7,8 +7,6 @@ import pytest
 
 from wedgebvp.core import PI, TWO_PI, ProblemParams, branch_point
 from wedgebvp.contour import (
-    ContourPolyline,
-    beta_hat,
     decay_rate,
     decomposition_contour,
     gamma_point,
@@ -145,21 +143,3 @@ def test_decomposition_matches_residue_of_rational_function():
     )
     assert abs(cont.integrate(g(cont.w)) - expected) < 1e-9 * abs(expected)
 
-
-def test_beta_hat_flat_segment_and_node_count():
-    p = ProblemParams(omega=1j, phi=7 * PI / 4)
-    arc = beta_hat(p, Wmax=20.0, n=257)
-    assert len(arc) == 257
-    assert np.max(np.abs(arc.w.imag - (PI / 2.0 - p.phi))) < 1e-14
-    assert arc.w[0] == pytest.approx(1j * (PI / 2.0 - p.phi))
-    assert arc.w[-1].real == pytest.approx(20.0)
-
-
-def test_contour_csv_roundtrip(tmp_path):
-    p = ProblemParams(omega=1j, phi=1.5 * PI)
-    cont = sommerfeld_double_loop(p, rho_min=0.5)
-    path = tmp_path / "contour.csv"
-    cont.to_csv(path)
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert data.shape == (len(cont), 5)
-    assert np.max(np.abs(data[:, 0] + 1j * data[:, 1] - cont.w)) < 1e-16

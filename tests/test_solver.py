@@ -17,6 +17,7 @@ import pytest
 from wedgebvp.core import PI, PolarPoint, ProblemParams
 from wedgebvp.contour import decomposition_contour, sommerfeld_double_loop
 from wedgebvp.errors import DomainError, GeometryError, QuadratureError, RayError
+from wedgebvp import solver
 from wedgebvp.kernel import build_engine
 from wedgebvp.solver import (
     FieldSample,
@@ -179,6 +180,34 @@ def test_grid_eval_total_field_and_errors(setup):
     assert math.isnan(samples[0].value.real)
     want = U_total(samples[1].point, e1, e2, cont, check=False).value
     assert samples[1].value == want
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_grid_eval_propagates_non_wedge_errors(setup, monkeypatch, threads):
+    # Only WedgeError becomes an error sample; a bug elsewhere must surface.
+    e1, _, cont, _ = setup
+
+    def broken(*args, **kwargs):
+        raise ValueError("not a numerical failure")
+
+    monkeypatch.setattr(solver, "u1_field", broken)
+    monkeypatch.setenv("WEDGE_THREADS", threads)
+    spec = GridSpec(0.5, 1.0, 2, 1.6 * PI, 1.9 * PI, 3)
+    with pytest.raises(ValueError):
+        grid_eval(spec, e1, cont, check=False)
+
+
+def test_kernel_cache_never_serves_a_freed_engine():
+    # Engines built and freed one after another may reuse one address; the
+    # shared contour's kernel cache must still give each its own values.
+    p = ProblemParams(omega=1j, phi=1.5 * PI, k1=2.0, k2=2.0)
+    cont = sommerfeld_double_loop(p, rho_min=0.5)
+    theta = 1.8 * PI
+    for k in np.linspace(0.5, 2.0, 20):
+        engine = build_engine(p, k=float(k))
+        got = solver._kernel_on(cont, engine, theta)
+        assert np.array_equal(got, engine.v1_hat(cont.w + 1j * theta))
+        del engine
 
 
 def test_grid_eval_thread_determinism(setup, monkeypatch):
