@@ -124,7 +124,14 @@ def _cmd_field(cfg: RunConfig) -> int:
     samples = solver.grid_eval(cfg.grid, e1, cont, engine2=e2)
     out = cfg.outputs.get("out_field", "field.csv")
     solver.field_csv(samples, out, cfg.params, timestamp=_timestamp())
-    bad = sum(1 for s in samples if s.method.startswith("error"))
+    failures: Dict[str, list] = {}  # class -> [count, first message]
+    for s in samples:
+        if s.method.startswith("error"):
+            failures.setdefault(s.method, [0, s.message])[0] += 1
+    for method, (count, message) in failures.items():
+        print(f"{count} points failed with {method.split(':', 1)[1]}; first: {message}",
+              file=sys.stderr)
+    bad = sum(count for count, _ in failures.values())
     print(f"wrote {out}: {len(samples)} samples, {bad} failed")
     return 0 if bad == 0 else 2
 

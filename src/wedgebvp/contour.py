@@ -94,6 +94,17 @@ class ContourPolyline:
     nodes carry (w, dw, weight): the integral of f along the contour is
     sum(f(w) * dw * weight), with dw the tangent times the panel scale and
     weight the reference Gauss-Legendre weight.
+
+    Besides the nodes a contour keeps what the field integrand needs of them:
+
+    * Wmax, the largest |Re w| of a node, fixed at construction;
+    * sinh(w) on the nodes (sinh_w), computed on first use;
+    * the last exponential factor e^{-omega*rho*sinh w} that exp_factor
+      produced, in a one-entry slot keyed on (omega, rho);
+    * cache, the kernel samples per (engine, theta) that the solver fills.
+
+    The refined contour keeps its own.  Each entry is written whole, so
+    threads that race on a miss both compute the same bits.
     """
 
     def __init__(
@@ -112,14 +123,37 @@ class ContourPolyline:
         self.components = tuple(components)
         self._refiner = refiner
         self._refined: Optional[ContourPolyline] = None
+        self.Wmax = float(np.max(np.abs(self.w.real)))
         self.cache: dict = {}
         self.meta: dict = {}
+        self._sinh_w: Optional[np.ndarray] = None
+        self._exp_slot: Optional[Tuple[complex, float, np.ndarray]] = None
 
     def __len__(self) -> int:
         return self.w.size
 
     def integrate(self, fvals: np.ndarray) -> complex:
         return complex(np.sum(np.asarray(fvals) * self.dw * self.weight))
+
+    @property
+    def sinh_w(self) -> np.ndarray:
+        s = self._sinh_w
+        if s is None:
+            s = self._sinh_w = np.sinh(self.w)
+        return s
+
+    def exp_factor(self, omega: complex, rho: float) -> np.ndarray:
+        """e^{-omega*rho*sinh w} on the nodes; the last one made is kept.
+
+        The slot is one tuple, so a concurrent reader sees a key and a value
+        that belong together.
+        """
+        slot = self._exp_slot
+        if slot is not None and slot[0] == omega and slot[1] == rho:
+            return slot[2]
+        f = np.exp((-omega * rho) * self.sinh_w)
+        self._exp_slot = (omega, rho, f)
+        return f
 
     def refined(self) -> "ContourPolyline":
         if self._refiner is None:

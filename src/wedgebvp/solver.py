@@ -26,6 +26,13 @@ pole-subtracted quadrature are provided.
 Truncation of every contour tail is certified through the bound
 |e^{-omega*rho*sinh w}| <= e^{-C*rho*cosh(Re w)} times the linear growth of
 the kernel, never assumed.
+
+The exponential factor e^{-omega*rho*sinh w} depends on the contour node,
+omega and rho only: not on theta, and not on k.  u2 integrates it against
+the k2 kernel at the reflected angle, so u1 and u2 at one point share it,
+and each contour keeps the factor it made last (ContourPolyline.exp_factor).
+Sharing is exact: the factor is the same array of bits, built by the same
+expression from the same sinh(w), whichever field asks for it first.
 """
 
 from __future__ import annotations
@@ -49,8 +56,9 @@ from .kernel import KernelEngine
 class FieldSample:
     point: PolarPoint
     value: complex
-    method: str  # "FullContour" | "Decomposed"
+    method: str  # "FullContour" | "Decomposed" | "error:<class>"
     est_quad_error: float
+    message: str = ""  # the exception message of an "error:<class>" sample
 
 
 @dataclass(frozen=True)
@@ -88,7 +96,7 @@ def _kernel_on(contour: ContourPolyline, engine: KernelEngine, theta: float) -> 
 
 
 def _certify_rho(engine: KernelEngine, contour: ContourPolyline, rho: float) -> None:
-    Wmax = float(np.max(np.abs(contour.w.real)))
+    Wmax = contour.Wmax
     bound = _tail_bound(engine.omega, engine.phi, Wmax, rho)
     if bound > 100.0 * engine.tol.quad_rel:
         raise GeometryError(
@@ -121,7 +129,7 @@ def u_plane(pt: PolarPoint, engine: KernelEngine) -> complex:
 
 def _integrate(engine: KernelEngine, contour: ContourPolyline, pt: PolarPoint) -> complex:
     kern = _kernel_on(contour, engine, pt.theta)
-    expf = np.exp(-engine.omega * pt.rho * np.sinh(contour.w))
+    expf = contour.exp_factor(engine.omega, pt.rho)
     total = contour.integrate(expf * kern)
     return total / (4.0 * PI * math.sin(engine.phi))
 
@@ -274,8 +282,8 @@ def grid_eval(
     """Evaluate u1 (or U when engine2 is given) on the grid.
 
     Samples are returned row-major: one row per theta, rho varying fastest.
-    A point that raises a WedgeError becomes an "error:<class>" sample;
-    any other exception propagates.
+    A point that raises a WedgeError becomes an "error:<class>" sample that
+    keeps the exception message; any other exception propagates.
     Rows are independent (kernel values are shared through the contour cache)
     and may be computed in parallel; WEDGE_THREADS caps the worker count.
     The assembly order is deterministic either way.
@@ -293,7 +301,10 @@ def grid_eval(
                 else:
                     out.append(U_total(pt, engine1, engine2, contour, check=check))
             except WedgeError as exc:  # aggregate, do not abort the batch
-                out.append(FieldSample(pt, complex("nan"), f"error:{exc.__class__.__name__}", float("inf")))
+                out.append(FieldSample(
+                    pt, complex("nan"), f"error:{exc.__class__.__name__}",
+                    float("inf"), str(exc),
+                ))
         return out
 
     n_threads = int(os.environ.get("WEDGE_THREADS", "1") or "1")

@@ -117,6 +117,37 @@ def test_field_command_writes_grid(tmp_path):
     assert np.allclose(np.hypot(data[:, 2], data[:, 3]), data[:, 4])
 
 
+def test_field_command_reports_failures_on_stderr(tmp_path, capsys, monkeypatch):
+    # One stderr line per failing class, with its count and first message;
+    # stdout keeps its one summary line.
+    from wedgebvp import solver
+    from wedgebvp.errors import PoleError, QuadratureError
+
+    real_total = solver.U_total
+
+    def flaky(pt, *args, **kwargs):
+        if pt.rho > 0.9:
+            raise QuadratureError(f"too wide at rho={pt.rho:g}")
+        if pt.rho < 0.6:
+            raise PoleError("pole in the way")
+        return real_total(pt, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "U_total", flaky)
+    out = tmp_path / "field.csv"
+    cfgp = _write(
+        tmp_path, "f.cfg",
+        f"phi = {1.5 * math.pi}\nrho_min = 0.5\nrho_max = 1.0\nn_rho = 3\n"
+        f"n_theta = 2\nout_field = {out}\n",
+    )
+    assert main(["field", "--config", cfgp]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == f"wrote {out}: 6 samples, 4 failed\n"
+    assert captured.err.splitlines() == [
+        "2 points failed with PoleError; first: pole in the way",
+        "2 points failed with QuadratureError; first: too wide at rho=1",
+    ]
+
+
 def test_verify_command_report_and_determinism(tmp_path, capsys):
     out1 = tmp_path / "r1.json"
     out2 = tmp_path / "r2.json"

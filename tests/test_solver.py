@@ -10,6 +10,7 @@ precision.
 import cmath
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -178,6 +179,9 @@ def test_grid_eval_total_field_and_errors(setup):
     # The uncertified tiny radius is recorded as an error sample, not raised.
     assert samples[0].method == "error:GeometryError"
     assert math.isnan(samples[0].value.real)
+    # The sample keeps why the point failed, not only the class name.
+    assert samples[0].message and "tail bound" in samples[0].message
+    assert samples[1].message == ""
     want = U_total(samples[1].point, e1, e2, cont, check=False).value
     assert samples[1].value == want
 
@@ -217,6 +221,87 @@ def test_grid_eval_thread_determinism(setup, monkeypatch):
     monkeypatch.setenv("WEDGE_THREADS", "4")
     threaded = grid_eval(spec, e1, cont, check=False)
     assert [s.value for s in serial] == [s.value for s in threaded]
+
+
+def _bits(samples):
+    values = np.array([s.value for s in samples])
+    ests = np.array([s.est_quad_error for s in samples])
+    return values.view(np.uint8).tobytes(), ests.view(np.uint8).tobytes()
+
+
+@pytest.mark.parametrize("threads", ["2", "4"])
+def test_grid_eval_threads_share_the_exponential_factor(setup, monkeypatch, threads):
+    # Threaded rows race on each contour's sinh(w) and exponential slot
+    # (u1 and u2, coarse and refined); every value and estimate must still
+    # be the serial run's bits.  A short switch interval makes the threads
+    # interleave inside the slot's lookups.
+    e1, e2, _, _ = setup
+    spec = GridSpec(0.3, 1.2, 4, PARAMS.theta_min, PARAMS.theta_max, 6)
+    serial = grid_eval(spec, e1, sommerfeld_double_loop(PARAMS, rho_min=0.25),
+                       engine2=e2, check=True)
+    monkeypatch.setenv("WEDGE_THREADS", threads)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = grid_eval(spec, e1, sommerfeld_double_loop(PARAMS, rho_min=0.25),
+                             engine2=e2, check=True)
+    finally:
+        sys.setswitchinterval(interval)
+    assert [s.method for s in serial] == [s.method for s in threaded]
+    assert _bits(serial) == _bits(threaded)
+
+
+def test_exponential_factor_is_keyed_on_omega_and_rho():
+    # One shared contour serves engines of two frequencies at alternating
+    # radii; each call must match the same call on a fresh contour, whose
+    # caches are empty.  A key without omega or without rho fails this.
+    pa = ProblemParams(omega=0.5 + 1j, phi=1.5 * PI, k1=1.0, k2=0.5)
+    pb = ProblemParams(omega=0.6 + 1.1j, phi=1.5 * PI, k1=1.0, k2=0.5)
+    ea = (build_engine(pa, k=pa.k1), build_engine(pa, k=pa.k2))
+    eb = (build_engine(pb, k=pb.k1), build_engine(pb, k=pb.k2))
+    shared = sommerfeld_double_loop(pa, rho_min=0.25)
+    theta = 1.8 * PI
+    calls = [
+        (u1_field, 0.5, ea[:1]),
+        (u1_field, 0.5, eb[:1]),
+        (U_total, 0.9, ea),
+        (u1_field, 0.5, ea[:1]),
+        (U_total, 0.9, eb),
+        (u1_field, 0.7, eb[:1]),
+        (U_total, 0.7, ea),
+    ]
+    for fn, rho, engines in calls:
+        pt = PolarPoint(rho, theta)
+        got = fn(pt, *engines, shared)
+        want = fn(pt, *engines, sommerfeld_double_loop(pa, rho_min=0.25))
+        assert got.value == want.value
+        assert got.est_quad_error == want.est_quad_error
+
+
+def test_checked_row_makes_one_exponential_per_contour_and_rho(monkeypatch):
+    # u1 and u2 share e^{-omega*rho*sinh w}: a checked row of n radii makes
+    # it once on the coarse and once on the refined contour per radius, 2n
+    # in all (4n when each field made its own).
+    p = ProblemParams(omega=0.5 + 1j, phi=1.5 * PI, k1=1.0, k2=0.5)
+    e1, e2 = build_engine(p, k=p.k1), build_engine(p, k=p.k2)
+    cont = sommerfeld_double_loop(p, rho_min=0.25)
+    theta = 1.7 * PI
+    # Fill the kernel cache first, so that only the field's own work counts.
+    grid_eval(GridSpec(2.0, 2.0, 1, theta, theta, 1), e1, cont, engine2=e2)
+    sizes = {len(cont), len(cont.refined())}
+    counted = []
+    real_exp = np.exp
+
+    def counting_exp(x, *args, **kwargs):
+        if np.size(x) in sizes:
+            counted.append(np.size(x))
+        return real_exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counting_exp)
+    n = 5
+    samples = grid_eval(GridSpec(0.3, 1.5, n, theta, theta, 1), e1, cont, engine2=e2)
+    assert all(s.method == "FullContour" for s in samples)
+    assert len(counted) == 2 * n
 
 
 def test_field_csv_roundtrip(tmp_path, setup):
