@@ -27,11 +27,14 @@ Contours provided:
   Gamma_{-pi/2} (right to left), on which the plane/diffracted splitting of
   the field is computed.
 
-Quadrature is composite Gauss-Legendre per panel; tail panels are spaced
-uniformly in sinh(Re w) so that the oscillation of the exponential factor is
-resolved evenly.  The same panel builder (_panel_nodes, _gamma_piece,
-_vertical_piece, _insert_refinement) lays out the Cauchy tables of the
-kernel module along the arc Gamma_{pi/2-Phi}, Re w >= 0, and its shifts.
+Quadrature on these contours is composite Gauss-Legendre per panel; tail
+panels are spaced uniformly in sinh(Re w) so that the oscillation of the
+exponential factor is resolved evenly.
+
+A whole Gamma_alpha line can also be laid out for the trapezoid rule in a
+parameter u (_Line): the kernel module sums its Cauchy-type integral along
+the carrier Gamma_{pi/2-Phi} this way, with pole corrections located by
+_Line.locate.
 """
 
 from __future__ import annotations
@@ -101,7 +104,8 @@ class ContourPolyline:
     * sinh(w) on the nodes (sinh_w), computed on first use;
     * the last exponential factor e^{-omega*rho*sinh w} that exp_factor
       produced, in a one-entry slot keyed on (omega, rho);
-    * cache, the kernel samples per (engine, theta) that the solver fills.
+    * cache, the kernel samples and the moving-pole distance per
+      (engine, theta) that the solver fills.
 
     The refined contour keeps its own.  Each entry is written whole, so
     threads that race on a miss both compute the same bits.
@@ -215,6 +219,118 @@ def _vertical_piece(
     w = x + 1j * s
     dw = 1j * scale
     return w, dw, wt
+
+
+class _Line:
+    """Gamma_alpha(omega) parametrised for the trapezoid rule u_j = u0 + j*h.
+
+    The abscissa is laid out through two real-analytic layers,
+
+        x = S*sinh(y/S),      y = u - (1 - a)*3a*tanh(u/(3a))   (a < 1),
+
+    where a = arctan(Im omega / Re omega) is the distance from the real x
+    axis of the curve's nearest singularities x = +-i*a.  The sinh layer
+    spaces the tails geometrically, so |x| ~ 70 costs about 25 units of u;
+    the tanh layer shrinks the step by the factor a near x = 0, where a
+    tilted curve bends.  Every layer is analytic in a strip about the real
+    u axis, so a pole of an integrand near the line has a preimage u* there.
+    """
+
+    S = 8.0
+
+    def __init__(self, omega: complex, alpha: float):
+        om = self.omega = complex(omega)
+        self.alpha = float(alpha)
+        self.r = om.real / om.imag
+        self.a = math.atan2(om.imag, om.real)
+        self.b = (1.0 - self.a) * 3.0 * self.a if self.a < 1.0 else 0.0
+
+    @property
+    def step(self) -> float:
+        """The trapezoid step in u that resolves the bend at x = +-i*a.
+
+        Measured, not derived: the largest step that keeps the mean-value
+        defect of the kernel's trapezoid sum near 1e-14 at a in {0.2, 0.29,
+        0.46, 0.61, 0.79}; below a = 0.3 the tanh layer resolves the bend
+        less well, hence the extra factor.
+        """
+        return min(0.2, 0.22 * self.a * min(1.0, self.a / 0.3))
+
+    def reach(self, x: np.ndarray, du: float) -> np.ndarray:
+        """Vertical offset below which a point over abscissa x may have its
+        preimage within du of the real u axis.
+
+        Im u* is about offset / ((1 + g'(x)^2) * dx/dy * dy/du), with g the
+        height of the curve; dy/du <= 1 and dx/dy = sqrt(1 + (x/S)^2).
+        """
+        slope = _gamma_slope(self.omega, x)
+        return du * (1.0 + slope * slope) * np.sqrt(1.0 + (x / self.S) ** 2)
+
+    def _y(self, u):
+        """y(u) and dy/du."""
+        if not self.b:
+            return u, np.ones_like(u)
+        th = np.tanh(u / (3.0 * self.a))
+        return u - self.b * th, 1.0 - (1.0 - self.a) * (1.0 - th * th)
+
+    def _w(self, x):
+        """The curve point over the (complex) abscissa x, and dw/dx."""
+        return (_gamma_points(self.omega, self.alpha, x),
+                1.0 + 1j * _gamma_slope(self.omega, x))
+
+    def at(self, u):
+        """w(u) and dw/du."""
+        y, dy = self._y(u)
+        x = self.S * np.sinh(y / self.S)
+        w, dw = self._w(x)
+        return w, dw * np.cosh(y / self.S) * dy
+
+    def nodes(self, h: float, X: float, u0: float = 0.0):
+        """Nodes u0 + j*h whose abscissa |x| <= X: (u, w, h*dw/du)."""
+        y_end = self.S * math.asinh(X / self.S)
+        u_end = y_end + self.b  # y(u) >= u - b for u > 0
+        j = np.arange(math.ceil((-u_end - u0) / h), math.floor((u_end - u0) / h) + 1)
+        u = u0 + h * j
+        w, dw = self.at(u)
+        keep = np.abs(w.real) <= X
+        return u[keep], w[keep], h * dw[keep]
+
+    def locate(self, z: np.ndarray):
+        """Preimage u* of points z near the line, and a mask of the good ones.
+
+        The x layer is inverted in closed form: with E = e^{2x} and
+        Z = e^{2(z - i*alpha)}, w(x) = z is the quadratic
+        (1 + ir)E^2 + (1 - ir)(1 - Z)E - (1 + ir)Z = 0.  Of its two roots,
+        those that solve w(x) = z with the principal arctan, the one nearer
+        the real axis is the preimage on the line's own sheet.  The sinh
+        layer inverts in closed form, the tanh layer by Newton from the real
+        axis.  A root is good when it reproduces z below the poles of tanh,
+        |Im x*| < pi/2: off Re x = 0 the vertical path to it crosses no cut
+        of the arctan.  A last Newton step on the whole map polishes it.
+        """
+        ir = 1j * self.r
+        Z = np.exp(2.0 * (z - 1j * self.alpha))
+        B = (1.0 - ir) * (1.0 - Z)
+        root = np.sqrt(B * B + 4.0 * (1.0 + ir) ** 2 * Z)
+        root = np.where((np.conj(B) * root).real >= 0.0, root, -root)
+        q = -0.5 * (B + root)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x1 = 0.5 * np.log(q / (1.0 + ir))
+            x2 = 0.5 * np.log(-(1.0 + ir) * Z / q)
+        tol = 1e-9 * (1.0 + np.abs(z))
+        good1 = np.abs(_gamma_points(self.omega, self.alpha, x1) - z) < tol
+        good2 = np.abs(_gamma_points(self.omega, self.alpha, x2) - z) < tol
+        x = np.where(good2 & ~(good1 & (np.abs(x1.imag) <= np.abs(x2.imag))), x2, x1)
+        y = self.S * np.arcsinh(x / self.S)
+        u = y
+        if self.b:
+            u = y.real + 0j
+            for _ in range(6):
+                yy, dy = self._y(u)
+                u = u - (yy - y) / dy
+        w, dw = self.at(u)
+        ok = (np.abs(x.imag) < 0.5 * math.pi) & (np.abs(w - z) < tol)
+        return u - (w - z) / dw, ok
 
 
 def default_b(p: ProblemParams) -> float:

@@ -36,11 +36,7 @@ class QuadratureError(WedgeError):
 
 
 class ConvergenceError(WedgeError):
-    """A refinement ladder failed to settle (constant extraction, residues)."""
-
-
-class NearArcError(WedgeError):
-    """Cauchy-integral evaluation too close to the jump arc without a side."""
+    """A refinement ladder failed to settle (residues by node doubling)."""
 
 
 class RayError(WedgeError):

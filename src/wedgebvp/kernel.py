@@ -21,20 +21,24 @@ Two construction branches:
   coth((w - a)/3) terms that repairs the residues while keeping 3*pi*i
   periodicity and h1 automorphy.
 
-* CauchyBuilt (any other Phi).  The half strip between Gamma_{pi/2-Phi} and
-  Gamma_{pi/2+Phi} is mapped by t(w) = coth((pi/(2*Phi))(w - pi*i/2))^2 onto
-  the plane cut along the arc beta_check = t(beta_hat); the difference
-  equation becomes a jump (saltus) problem across the arc, solved by the
-  Cauchy-type integral
+* CauchyBuilt (any other Phi).  With c = pi/(2*Phi) and the carrier
+  L = Gamma_{pi/2-Phi}, traversed left to right,
 
-      a1_check(t) = (1/(2*pi*i)) Int_beta  G2_check(t') / (t' - t) dt'.
+      a1(w) = (1/(4i*Phi)) Int_L G2(tau) coth(c*(tau - w)) dtau
 
-  Then a1(w) = a1_check(t(w)) + C2 inside the strip, extended up and down by
-  the difference equation itself, and v11 = a1 + T2 (Phi < 3*pi/2) or
-  a1 + T1 + T2 (Phi > 3*pi/2) with periodic supplements T_j built from
-  coth(pi*(w - a)/(2*Phi)).  The constant C2 = ln(4)*sin(Phi)/pi - C, with C
-  read off the logarithmic asymptotics of a1_check near t = 1, normalizes
-  v11 to have zero constant term in its linear growth at Re w -> +-infinity:
+  solves a1(w) - a1(w + 2i*Phi) = G2(w) in the strip between L and
+  L + 2i*Phi: continuing across L + 2i*Phi picks up the residue at tau = w.
+  a1 is extended beyond the strip by the difference equation, and
+  v11 = a1 + T2 (Phi < 3*pi/2) or a1 + T1 + T2 (Phi > 3*pi/2) with periodic
+  supplements T_j built from coth(c*(w - a)).  G2 tends to -+2i*sin(Phi)
+  along L, so the part g_s*coth(c*(tau - pi*i/2)), g_s = -2i*sin(Phi), is
+  split off; by coth(a)coth(b) = 1 + coth(a - b)(coth(b) - coth(a)) its
+  transform is (sin Phi/Phi)*(w - pi*i/2)*coth(c*(w - pi*i/2)) plus a
+  constant, which is exactly the growth sign(Re w)*(sin Phi/Phi)*
+  (w - pi*i/2).  The transform of the rest R, which decays like
+  e^{-pi*|Re tau|/Phi}, tends to -+(1/(4i*Phi))*Int_L R = 0 at the two ends
+  (a1 is automorphic under h1, which swaps them), and T1, T2 vanish there,
+  so the constant C2 that a1 adds is 0 and
 
       v11(w) = sign(Re w)*(sin Phi/Phi)*(w - pi*i/2) + O(e^{-pi*|Re w|/Phi}).
 
@@ -43,34 +47,19 @@ Two construction branches:
 
 Numerical notes
 ---------------
-The Cauchy integral is evaluated through precomputed tables of G2, t and t'
-along the arc (composite Gauss-Legendre in the w parameter, laid out by the
-same panel builder as the field contours of the contour module).  Evaluation
-points approaching the arc are the delicate case; three devices keep the
-evaluation uniformly accurate:
-
-* subtraction of the density value at the nearest node plus an exact
-  integral of the constant along the arc polyline 0 -> t_1 ... t_M -> 1
-  (this also makes the tail beyond the last node exact to O(e^{-W_table})).
-  The real parts of its segment logarithms telescope to log(|1-t|/|t|), so
-  only the imaginary part is summed, as atan2(cross, dot) of consecutive
-  vertices seen from t;
-* two auxiliary tables with the arc shifted by +-eta in the strip
-  coordinate; a point near the lower/upper strip boundary is evaluated
-  against the table whose deformed arc lies on the far side, which is
-  legitimate by analyticity of the density between the arcs (the deformed
-  path keeps the exact endpoints t = 0 and t = 1 via a short connector);
-* panel refinement of the tables near the projections of G2 poles that
-  approach the carrier (which happens as Phi -> 3*pi/2).
-
-The sum runs in blocks of about _CAUCHY_BLOCK (point, node) pairs, so its
-real work arrays stay in cache.  Per block, dx + i*dy = t_j - t and
-r2 = dx^2 + dy^2 are formed once; r2 decides the near rows, and with dx, dy
-scaled by 1/r2 the plain sum of dens_j/(t_j - t) over every row is two real
-matrix products with (Re dens, Im dens).  Only the near rows are then redone
-with the subtraction above.  The real and imaginary parts of t and of the
-density, the weights t'*jac and the squared near radii are computed once,
-when a table is built.
+The R integral is a trapezoid sum in the parameter u of contour._Line,
+with step h from a = arctan(Im omega / Re omega) (_Line.step) and tails to
+|Re tau| = 34*Phi/pi.  With v_j = e^{2c*tau_j}, B = e^{2c*w} and weights
+d_j, Sum d_j*coth(c*(tau_j - w)) = -Sum d_j + 2*Sum d_j*v_j/(v_j - B), a
+Cauchy sum in B that runs in blocks of _CAUCHY_BLOCK (point, node) pairs as
+two real matrix products per block.  A simple pole of the u-integrand with
+residue R at u* near the real axis is restored by adding
+pi*R*(cot(pi*(u* - u0)/h) + i*sign(Im u*)) (Trefethen and Weideman, SIAM
+Rev. 56 (2014)): per point for the coth's pole tau* = w or w - 2i*Phi when
+sigma is near 0 or 2*Phi, residue R(tau*)/c, located by _Line.locate and
+summed on the grid shifted by h/2 when it lies within h/4 of a node; and
+per engine for the G2 poles near L.  The sum is automorphic under h1 to
+rounding by itself, so no fold by h1 is needed.
 
 In the Elementary branch each coth((w - a)/3) term of Q (period 3*pi*i) and
 the pi*i-periodic G2 inside m are evaluated at the translate of w - a (of w
@@ -94,11 +83,10 @@ from .core import (
     BranchPoint,
     ProblemParams,
     branch_point,
-    curve_offset,
     validate_params,
 )
-from .contour import _gamma_piece, _insert_refinement, _vertical_piece
-from .errors import ConvergenceError, DomainError, NearArcError, PoleError
+from .contour import _Line
+from .errors import DomainError, PoleError
 
 PHI_SWITCH_EPS = 1e-9
 
@@ -167,54 +155,42 @@ def _coth(z: np.ndarray) -> np.ndarray:
         return 1.0 / np.tanh(z)
 
 
-# Pairs of (evaluation point, table node) per block of the Cauchy sum: a few
-# real (block,) work arrays of this many doubles stay cache resident.
-_CAUCHY_BLOCK = 1 << 15
+def _missed_pole(res, u_star, u0: float, h: float, side):
+    """What the trapezoid sum on u0 + j*h misses of res/(u - u_star)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return PI * res * (1.0 / np.tan(PI * (u_star - u0) / h) + 1j * side)
+
+
+# Pairs of (evaluation point, line node) per block of the Cauchy sum: the
+# three real work arrays of this many doubles, reused from block to block,
+# stay cache resident.
+_CAUCHY_BLOCK = 1 << 14
+
+# Tail of the carrier: the density decays like e^{-pi*|x|/Phi}, and cutting
+# it at |x| = X leaves e^{-_TAIL_EXP}.
+_TAIL_EXP = 34.0
+
+# A point whose pole preimage may lie within this many steps of the real u
+# axis gets the pole correction; an uncorrected pole costs e^{-2*pi*7}.
+_NEAR_STEPS = 7.0
 
 
 @dataclass
-class _CauchyTable:
-    """Quadrature of the Cauchy integral along one (possibly shifted) arc.
+class _Grid:
+    """One trapezoid grid u0 + j*h on the carrier, ready for the Cauchy sum.
 
-    Node j carries t_j = t(w_j) and the weight tpj_j = t'(w_j) * jac_j, where
-    jac is tangent * panel scale * Gauss weight, so the density on the arc
-    is dens_j = G2(w_j) * tpj_j.  Everything _cauchy_eval needs is split
-    into real arrays once here.
+    Node j carries v_j = e^{2c*tau_j} and the weight d_j = R(tau_j) *
+    tau'(u_j) * h; D_ri holds Re and Im of d_j * v_j.  Per density pole q
+    near the carrier, poles_v holds e^{2c*q} and poles_kappa its
+    _missed_pole term.
     """
 
-    shift: float
-    g2: np.ndarray
-    tpj: np.ndarray
-    t_re: np.ndarray
-    t_im: np.ndarray
-    dens_ri: np.ndarray   # (M, 2): Re and Im of g2 * tpj
-    near_r2: np.ndarray   # (10 * local node spacing)^2
-
-    @classmethod
-    def from_nodes(cls, shift: float, g2: np.ndarray, t: np.ndarray,
-                   tpj: np.ndarray) -> "_CauchyTable":
-        dens = g2 * tpj
-        # Local node spacing decides whether the plain quadrature sum
-        # resolves the Cauchy pole at t or the subtraction device is needed.
-        gaps = np.abs(np.diff(t))
-        sp = np.empty(t.size)
-        sp[0] = gaps[0]
-        sp[-1] = gaps[-1]
-        sp[1:-1] = 0.5 * (gaps[:-1] + gaps[1:])
-        return cls(shift=shift, g2=g2, tpj=tpj,
-                   t_re=np.ascontiguousarray(t.real),
-                   t_im=np.ascontiguousarray(t.imag),
-                   dens_ri=np.column_stack([dens.real, dens.imag]),
-                   near_r2=(10.0 * sp) ** 2)
-
-    @property
-    def t(self) -> np.ndarray:
-        return self.t_re + 1j * self.t_im
-
-    @property
-    def t_poly(self) -> np.ndarray:
-        """The arc polyline [0, t(path nodes)..., 1]."""
-        return np.concatenate([[0.0 + 0.0j], self.t, [1.0 + 0.0j]])
+    v_re: np.ndarray
+    v_im: np.ndarray
+    D_ri: np.ndarray
+    sum_d: complex
+    poles_v: np.ndarray
+    poles_kappa: np.ndarray
 
 
 class KernelEngine:
@@ -223,12 +199,7 @@ class KernelEngine:
     Build with :func:`build_engine`.
     """
 
-    def __init__(
-        self,
-        params: ProblemParams,
-        k: float,
-        n_beta: Optional[int] = None,
-    ):
+    def __init__(self, params: ProblemParams, k: float):
         validate_params(params)
         self.params = params
         self.k = float(k)
@@ -243,11 +214,13 @@ class KernelEngine:
             if abs(self.phi - 1.5 * PI) < PHI_SWITCH_EPS
             else "CauchyBuilt"
         )
-        self.const_C: Optional[complex] = None
         self.const_C2: Optional[complex] = None
-        self._tables: dict = {}
+        # The carrier line (CauchyBuilt): step, node count, corrected poles.
+        self.line_h: Optional[float] = None
+        self.line_nodes = 0
+        self.line_poles = np.empty(0, dtype=complex)
         if self.kind == "CauchyBuilt":
-            self._build_cauchy(n_beta)
+            self._build_line()
 
     @contextmanager
     def relaxed_guard(self, clearance: float = 1e-12):
@@ -267,13 +240,10 @@ class KernelEngine:
     # ------------------------------------------------------------------
     # geometry helpers
 
-    def _offset(self, w: np.ndarray) -> np.ndarray:
-        ratio = self.omega.real / self.omega.imag
-        return w.imag - np.arctan(ratio * np.tanh(w.real))
-
     def _sigma(self, w: np.ndarray) -> np.ndarray:
         """Strip coordinate: 0 on the carrier Gamma_{pi/2-Phi}, 2*Phi at top."""
-        return self._offset(w) - (PI / 2.0 - self.phi)
+        ratio = self.omega.real / self.omega.imag
+        return w.imag - np.arctan(ratio * np.tanh(w.real)) - (PI / 2.0 - self.phi)
 
     # ------------------------------------------------------------------
     # elementary building blocks
@@ -296,41 +266,16 @@ class KernelEngine:
         arr, scalar = _as_c_array(w)
         _guard(arr, self._g2_anchors(), 2j * PI,
                self.pole_clearance, "G2")
-        h2 = -arr + 1j * PI - 2j * self.phi
+        return _ret(self._g2(arr), scalar)
+
+    def _g2(self, w: np.ndarray) -> np.ndarray:
+        """G2 = G - G o h2 without the pole guard: the carrier's nodes and
+        corrections come as close to a density pole as the geometry puts
+        them."""
+        h2 = -w + 1j * PI - 2j * self.phi
         num = lambda z: 1j * self.omega * np.sinh(z - 1j * self.phi)
         den = lambda z: 1j * self.omega * np.sinh(z) + self.k
-        val = num(arr) / den(arr) - num(h2) / den(h2)
-        return _ret(val, scalar)
-
-    def t_map(self, w):
-        arr, scalar = _as_c_array(w)
-        _guard(arr, (1j * PI / 2.0,), 2j * self.phi,
-               self.pole_clearance, "t")
-        m = (PI / (2.0 * self.phi)) * (arr - 1j * PI / 2.0)
-        val = _coth(m) ** 2
-        return _ret(val, scalar)
-
-    def dt_map(self, w):
-        arr, scalar = _as_c_array(w)
-        _guard(arr, (1j * PI / 2.0,), 2j * self.phi,
-               self.pole_clearance, "dt")
-        m = (PI / (2.0 * self.phi)) * (arr - 1j * PI / 2.0)
-        val = -(PI / self.phi) * np.cosh(m) / np.sinh(m) ** 3
-        return _ret(val, scalar)
-
-    def _t_unguarded(self, w: np.ndarray) -> np.ndarray:
-        """t(w) with the pole at pi*i/2 mapped to a huge finite value.
-
-        Used by the strip evaluator: a1_check(t) -> 0 as t -> infinity, so a
-        point near the map pole is harmless there.
-        """
-        m = (PI / (2.0 * self.phi)) * (w - 1j * PI / 2.0)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            t = _coth(m) ** 2
-        bad = ~np.isfinite(t)
-        if np.any(bad):
-            t = np.where(bad, 1e30 + 0.0j, t)
-        return t
+        return num(w) / den(w) - num(h2) / den(h2)
 
     # ------------------------------------------------------------------
     # periodic supplements (CauchyBuilt)
@@ -404,234 +349,139 @@ class KernelEngine:
         return _ret(val, scalar)
 
     # ------------------------------------------------------------------
-    # Cauchy tables
+    # the strip kernel as a trapezoid sum along the carrier
 
-    def _g2_pole_list(self, re_lo: float, re_hi: float):
-        out = []
-        for a in self._g2_anchors():
-            for n in range(-4, 5):
-                pole = a + 2j * PI * n
-                if re_lo <= pole.real <= re_hi:
-                    out.append(pole)
-        return out
+    def _density(self, tau: np.ndarray) -> np.ndarray:
+        """R = G2 - g_s*coth(c*(tau - pi*i/2)), g_s = -2i*sin(Phi): the part
+        of G2 that decays along the carrier (see the module docstring)."""
+        gs = -2j * math.sin(self.phi)
+        return self._g2(tau) - gs * _coth(self._c * (tau - 0.5j * PI))
 
-    def _build_table(self, shift: float, W_table: float, max_panel: float) -> _CauchyTable:
-        carrier = PI / 2.0 - self.phi
-        level = carrier + shift
+    def _build_line(self) -> None:
+        phi = self.phi
+        self._c = c = PI / (2.0 * phi)
+        line = self._line = _Line(self.omega, PI / 2.0 - phi)
+        self.line_h = h = line.step
+        X = (phi / PI) * _TAIL_EXP
 
-        # Panel breaks along the arc abscissa.
-        dense_to = min(8.0, W_table)
-        breaks = list(np.arange(0.0, dense_to, max_panel)) + [dense_to]
-        width = max(max_panel, 0.5)
-        x = dense_to
-        while x < W_table:
-            x = min(x + width, W_table)
-            breaks.append(x)
-            width *= 1.5
-        breaks = np.unique(np.asarray(breaks))
+        # Density poles within reach of the carrier: every G2 pole whose
+        # offset from L is below the near-point cut.  Their residues are
+        # r2, r1, r1, r2 at the four anchors (G2 = G - G o h2).
+        shifts = 2j * PI * np.arange(-3, 4)
+        cand = (np.asarray(self._g2_anchors())[:, None] + shifts).ravel()
+        res = (self.branch.r2, self.branch.r1, self.branch.r1, self.branch.r2)
+        cand_res = np.repeat(res, shifts.size)
+        sig = self._sigma(cand)
+        near = ((np.abs(sig) < line.reach(cand.real, _NEAR_STEPS * h))
+                & (np.abs(cand.real) < X))
+        if np.any(np.abs(sig[near]) < 1e-12):
+            raise DomainError("a G2 pole sits on the carrier Gamma_{pi/2-Phi}")
+        u_q, ok = line.locate(cand[near])
+        self.line_poles = cand[near][ok]
+        u_q = u_q[ok]
+        res_q = cand_res[near][ok]
 
-        # Refine near projections of G2 poles close to this arc level.
-        for pole in self._g2_pole_list(-0.5, W_table):
-            gap = abs(curve_offset(self.omega, pole) - level)
-            if gap < 0.6 and pole.real > -0.3:
-                center = max(pole.real, breaks[1] * 0.5)
-                breaks = _insert_refinement(breaks, center, max(gap / 4.0, 5e-4), 0.5)
+        self._grids = []
+        for u0 in (0.0, 0.5 * h):
+            _, tau, dtau = line.nodes(h, X, u0)
+            d = self._density(tau) * dtau
+            v = np.exp(2.0 * c * tau)
+            D = d * v
+            kappa = _missed_pole(res_q, u_q, u0, h, np.sign(u_q.imag))
+            self._grids.append(_Grid(
+                v_re=np.ascontiguousarray(v.real),
+                v_im=np.ascontiguousarray(v.imag),
+                D_ri=np.column_stack([D.real, D.imag]), sum_d=complex(d.sum()),
+                poles_v=np.exp(2.0 * c * self.line_poles), poles_kappa=kappa,
+            ))
+        self.line_nodes = self._grids[0].v_re.size
+        self.line_X = X
+        # The growth condition needs no constant (see the module docstring).
+        self.const_C2 = 0.0 + 0.0j
 
-        pieces = [_gamma_piece(self.omega, level, breaks)]
-        if shift != 0.0:
-            # Connector from the exact arc start (t=0) to the shifted level.
-            npan = max(2, int(math.ceil(abs(shift) / 0.05)))
-            pieces.insert(0, _vertical_piece(0.0, carrier, level, npan))
-        w, dw, wt = (np.concatenate(parts) for parts in zip(*pieces))
-        return _CauchyTable.from_nodes(shift, self.g2_hat(w), self.t_map(w),
-                                       self.dt_map(w) * (dw * wt))
+    def _cauchy_sum(self, B: np.ndarray, grid: _Grid) -> np.ndarray:
+        """Sum of d_j*coth(c*(tau_j - w)) = -Sum d_j + 2*Sum d_j*v_j/(v_j - B).
 
-    def _build_cauchy(self, n_beta):
-        W_table = (self.phi / PI) * 18.0 + 2.0
-
-        # Clearance of G2 poles above/below the carrier limits the arc shifts.
-        carrier = PI / 2.0 - self.phi
-        gap_up = math.inf
-        gap_dn = math.inf
-        for pole in self._g2_pole_list(-0.5, W_table + 1.0):
-            if pole.real <= -0.3:
-                continue
-            s = curve_offset(self.omega, pole) - carrier
-            if s > 1e-12:
-                gap_up = min(gap_up, s)
-            elif s < -1e-12:
-                gap_dn = min(gap_dn, -s)
-        eta_up = min(0.3, gap_up / 2.0)
-        eta_dn = min(0.3, gap_dn / 2.0)
-        if eta_up <= 0.0 or eta_dn <= 0.0:
-            raise DomainError("a G2 pole sits on the jump arc carrier")
-        self._eta_up = eta_up
-        self._eta_dn = eta_dn
-        self._margin = 0.35
-
-        base_panel = 0.25 if n_beta is None else max(8.0 / max(n_beta // 16, 4), 0.02)
-        self._tables["base"] = self._build_table(0.0, W_table, base_panel)
-        up_panel = min(base_panel, max(eta_up * 0.7, 0.02))
-        dn_panel = min(base_panel, max(eta_dn * 0.7, 0.02))
-        self._tables["up"] = self._build_table(+eta_up, W_table, up_panel)
-        self._tables["down"] = self._build_table(-eta_dn, W_table, dn_panel)
-        self.const_C = self._extract_C()
-        self.const_C2 = math.log(4.0) * math.sin(self.phi) / PI - self.const_C
-
-    # ------------------------------------------------------------------
-    # Cauchy integral evaluation
-
-    @staticmethod
-    def _polyline_log(ux: np.ndarray, uy: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """Int dt'/(t'-t) along the arc polyline 0 -> t_1 ... t_M -> 1.
-
-        ux + i*uy holds t_j - t, one row per point.  The real parts of the
-        segment logs telescope to log(|1-t|/|t|); the imaginary part sums
-        the angle atan2(cross, dot) that each segment subtends at t.
+        1/(v_j - B) = (dx - i*dy)/r2 with dx + i*dy = v_j - B, so with dx, dy
+        scaled by 1/r2 the second sum is two real (rows, N) x (N, 2)
+        products.
         """
-        x = t.real
-        y = t.imag
-        cross = ux[:, :-1] * uy[:, 1:]
-        tmp = uy[:, :-1] * ux[:, 1:]
-        cross -= tmp
-        dot = np.multiply(ux[:, :-1], ux[:, 1:])
-        np.multiply(uy[:, :-1], uy[:, 1:], out=tmp)
-        dot += tmp
-        ang = np.sum(np.arctan2(cross, dot, out=cross), axis=1)
-        # The end segments 0 -> t_1 and t_M -> 1.
-        ang += np.arctan2(y * ux[:, 0] - x * uy[:, 0],
-                          -x * ux[:, 0] - y * uy[:, 0])
-        ang += np.arctan2(-ux[:, -1] * y - uy[:, -1] * (1.0 - x),
-                          ux[:, -1] * (1.0 - x) - uy[:, -1] * y)
-        with np.errstate(divide="ignore"):
-            return np.log(np.abs(1.0 - t) / np.abs(t)) + 1j * ang
-
-    def _cauchy_eval(self, t: np.ndarray, table: _CauchyTable) -> np.ndarray:
-        t = np.asarray(t, dtype=complex).ravel()
-        out = np.empty(t.shape, dtype=complex)
-        rows = max(1, _CAUCHY_BLOCK // table.t_re.size)
-        for lo in range(0, t.size, rows):
-            tc = t[lo:lo + rows]
-            dx = table.t_re[None, :] - tc.real[:, None]
-            dy = table.t_im[None, :] - tc.imag[:, None]
-            r2 = dx * dx
+        out = np.empty(B.shape, dtype=complex)
+        rows = max(1, min(B.size, _CAUCHY_BLOCK // grid.v_re.size))
+        work = np.empty((3, rows, grid.v_re.size))
+        for lo in range(0, B.size, rows):
+            bc = B[lo:lo + rows]
+            dx, dy, r2 = work[:, :bc.size]
+            np.subtract(grid.v_re, bc.real[:, None], out=dx)
+            np.subtract(grid.v_im, bc.imag[:, None], out=dy)
+            np.multiply(dx, dx, out=r2)
             r2 += dy * dy
-            jstar = np.argmin(r2, axis=1)
-            rmin = r2[np.arange(tc.size), jstar]
-            # Near zone: close to a node relative to local spacing, or close
-            # to either arc endpoint (where the truncated tail of the plain
-            # sum would be felt); only there is the exact polyline log used.
-            near = np.flatnonzero(
-                (rmin < table.near_r2[jstar])
-                | (np.abs(tc - 1.0) < 1e-2)
-                | (np.abs(tc) < 1e-2)
-            )
-            if near.size:
-                L = self._polyline_log(dx[near], dy[near], tc[near])
-            # 1/(t_j - t) = (dx - i*dy)/r2, so with dx, dy scaled by 1/r2 the
-            # far sum of dens_j/(t_j - t) is two real (rows, M) x (M, 2)
-            # products.  A point on a node, where the integral is undefined,
-            # gives nan.
-            with np.errstate(divide="ignore", invalid="ignore"):
-                np.divide(1.0, r2, out=r2)
-                dx *= r2
-                dy *= r2
-                a = dx @ table.dens_ri
-                b = dy @ table.dens_ri
-            vals = (a[:, 0] + b[:, 1]) + 1j * (a[:, 1] - b[:, 0])
-            if near.size:
-                # Subtract the density at the nearest node, whose term is then
-                # exactly zero.
-                g2s = table.g2[jstar[near]]
-                inv = np.empty((near.size, table.t_re.size), dtype=complex)
-                inv.real = dx[near]
-                np.negative(dy[near], out=inv.imag)
-                num = np.subtract(table.g2[None, :], g2s[:, None])
-                num *= table.tpj
-                num *= inv
-                vals[near] = np.sum(num, axis=1) + g2s * L
-            out[lo:lo + rows] = vals / (2j * PI)
+            np.divide(1.0, r2, out=r2)
+            dx *= r2
+            dy *= r2
+            a = dx @ grid.D_ri
+            b = dy @ grid.D_ri
+            out[lo:lo + rows] = (a[:, 0] + b[:, 1]) + 1j * (a[:, 1] - b[:, 0])
+        out *= 2.0
+        out -= grid.sum_d
+        if grid.poles_v.size:
+            pv = grid.poles_v[None, :]
+            out += ((pv + B[:, None]) / (pv - B[:, None])) @ grid.poles_kappa
         return out
-
-    def _arc_distance(self, t: np.ndarray) -> np.ndarray:
-        """Distance from t to the base arc polyline (segment-wise)."""
-        poly = self._tables["base"].t_poly
-        a = poly[:-1]
-        b = poly[1:]
-        ab = b - a
-        denom = np.abs(ab) ** 2
-        t = np.asarray(t, dtype=complex).ravel()
-        az = t[:, None] - a[None, :]
-        s = np.clip((az * np.conj(ab[None, :])).real / denom[None, :], 0.0, 1.0)
-        d = np.abs(az - s * ab[None, :])
-        return d.min(axis=1)
-
-    def cauchy_a1(self, t, side: Optional[str] = None):
-        """The Cauchy-type integral a1_check(t); side in {None,'upper','lower'}.
-
-        With side=None the point must keep its distance from the arc;
-        a one-sided boundary value (Plemelj limit) is returned otherwise.
-        """
-        if self.kind != "CauchyBuilt":
-            raise DomainError("cauchy_a1 requires a CauchyBuilt engine")
-        arr, scalar = _as_c_array(t)
-        flat = arr.ravel()
-        if side is None:
-            d = self._arc_distance(flat)
-            limit = self.tol.pole_clearance * np.minimum(1.0, np.abs(flat - 1.0))
-            bad = d < limit
-            if np.any(bad):
-                jmin = int(np.argmax(bad))
-                raise NearArcError(
-                    f"t={flat[jmin]:.6g} is {d[jmin]:.3e} from the jump arc; "
-                    "request side='upper' or side='lower'"
-                )
-            table = self._tables["base"]
-        elif side == "upper":
-            table = self._tables["down"]
-        elif side == "lower":
-            table = self._tables["up"]
-        else:
-            raise DomainError(f"side must be 'upper' or 'lower', got {side!r}")
-        val = self._cauchy_eval(flat, table).reshape(arr.shape)
-        return _ret(val, scalar)
-
-    def _extract_C(self) -> complex:
-        """Constant in a1_check(t) = (sin Phi/pi)*ln(1/(t-1)) + C + O(t-1)."""
-        table = self._tables["base"]
-        deltas = np.array([1e-4, 1e-5, 1e-6])
-        vals = self._cauchy_eval(1.0 + deltas.astype(complex), table)
-        c_of_d = vals + (math.sin(self.phi) / PI) * np.log(deltas)
-        rich = []
-        for i in range(len(deltas) - 1):
-            d1, d2 = deltas[i], deltas[i + 1]
-            v1, v2 = c_of_d[i], c_of_d[i + 1]
-            rich.append((d1 * v2 - d2 * v1) / (d1 - d2))
-        if abs(rich[0] - rich[1]) > 10.0 * self.tol.id_tol:
-            raise ConvergenceError(
-                f"constant extraction unsettled: {rich[0]:.8g} vs {rich[1]:.8g}"
-            )
-        return complex(rich[-1])
 
     # ------------------------------------------------------------------
     # a1 with strip reduction
 
     def _a1_base_strip(self, w: np.ndarray) -> np.ndarray:
         """a1 for points with sigma(w) in [0, 2*Phi) (the fundamental strip)."""
+        c = self._c
+        h = self.line_h
+        two_phi = 2.0 * self.phi
         sig = self._sigma(w)
-        # The map is even under h1, folding Re w < 0 onto the mirror point
-        # -w + pi*i whose strip coordinate is 2*Phi - sigma; the t-plane side
-        # of the arc is decided by the folded coordinate.
-        sig = np.where(w.real >= 0.0, sig, 2.0 * self.phi - sig)
-        t = self._t_unguarded(w)
+        # Beyond |Re w| = X + 80 every coth(c*(tau_j - w)) is -+1 to double
+        # precision; clipping keeps B finite.
+        lim = self.line_X + 80.0
+        B = np.exp(2.0 * c * (np.clip(w.real, -lim, lim) + 1j * w.imag))
+
+        # The poles tau* = w (above L, sigma near 0) and w - 2i*Phi (below
+        # L, sigma near 2*Phi) of coth(c*(tau - w)), located in u.  Beyond
+        # the last node the line has no nodes left to correct.
+        cut = np.where(np.abs(w.real) < self.line_X,
+                       self._line.reach(w.real, _NEAR_STEPS * h), -1.0)
+        poles = []
+        grid_of = np.zeros(w.shape, dtype=int)
+        for side, mask, shift in ((1.0, sig < cut, 0.0),
+                                  (-1.0, sig > two_phi - cut, -2j * self.phi)):
+            idx = np.flatnonzero(mask)
+            if idx.size:
+                zstar = w[idx] + shift
+                u_s, ok = self._line.locate(zstar)
+                # A root on the wrong side of the real u axis lies on another
+                # sheet of the map, beyond the curve's singularities.
+                ok &= side * u_s.imag > -1e-12
+                idx, zstar, u_s = idx[ok], zstar[ok], u_s[ok]
+                # A pole within h/4 of a node of the main grid is corrected
+                # on the grid shifted by h/2, where it keeps h/4 away.
+                frac = u_s.real / h
+                grid_of[idx[np.abs(frac - np.round(frac)) < 0.25]] = 1
+                poles.append((side, idx, zstar, u_s))
+
         out = np.empty(w.shape, dtype=complex)
-        lo_mask = sig < self._margin
-        hi_mask = sig > 2.0 * self.phi - self._margin
-        mid_mask = ~(lo_mask | hi_mask)
-        for mask, key in ((lo_mask, "down"), (hi_mask, "up"), (mid_mask, "base")):
-            if np.any(mask):
-                out[mask] = self._cauchy_eval(t[mask], self._tables[key])
-        return out + self.const_C2
+        for g, grid in enumerate(self._grids):
+            idx = np.flatnonzero(grid_of == g)
+            if idx.size:
+                out[idx] = self._cauchy_sum(B[idx], grid)
+        for side, idx, zstar, u_s in poles:
+            # On L itself (sigma = 0) this is the limit from inside the strip.
+            u0 = 0.5 * h * grid_of[idx]
+            res = self._density(zstar) / c
+            out[idx] += _missed_pole(res, u_s, u0, h, side)
+
+        zc = w - 0.5j * PI
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lin = np.where(zc == 0.0, 1.0 / c, zc * _coth(c * zc))
+        return (out / (4j * self.phi) + (math.sin(self.phi) / self.phi) * lin
+                + self.const_C2)
 
     def a1_hat(self, w):
         """a1 on the whole plane via the difference-equation extensions."""
@@ -701,18 +551,18 @@ class KernelEngine:
             "p1": c(self.branch.p1),
             "r1": c(self.branch.r1),
             "r2": c(self.branch.r2),
-            "C": c(self.const_C),
+            "C": c(None if self.const_C2 is None
+                   else math.log(4.0) * math.sin(self.phi) / PI - self.const_C2),
             "C2": c(self.const_C2),
             "poles": {name: c(z) for name, z in self.pole_list().items()},
+            "line_h": self.line_h,
+            "line_nodes": self.line_nodes,
+            "line_poles": [c(q) for q in self.line_poles],
         }
 
 
-def build_engine(
-    params: ProblemParams,
-    k: Optional[float] = None,
-    n_beta: Optional[int] = None,
-) -> KernelEngine:
+def build_engine(params: ProblemParams, k: Optional[float] = None) -> KernelEngine:
     """Construct a kernel engine for the given parameters and wavenumber."""
     if k is None:
         k = params.k1
-    return KernelEngine(params, k, n_beta=n_beta)
+    return KernelEngine(params, k)

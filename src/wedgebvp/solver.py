@@ -95,6 +95,20 @@ def _kernel_on(contour: ContourPolyline, engine: KernelEngine, theta: float) -> 
     return vals
 
 
+def _pole_distance(contour: ContourPolyline, engine: KernelEngine, theta: float) -> float:
+    """Distance from the contour to the moving pole, cached beside the kernel.
+
+    It depends on (engine, theta) only, so the field at every rho of a
+    theta row reuses it.
+    """
+    key = ("pole_distance", engine, round(float(theta), 15))
+    dist = contour.cache.get(key)
+    if dist is None:
+        dist = float(np.min(np.abs(contour.w - _moving_pole(engine, theta))))
+        contour.cache[key] = dist
+    return dist
+
+
 def _certify_rho(engine: KernelEngine, contour: ContourPolyline, rho: float) -> None:
     Wmax = contour.Wmax
     bound = _tail_bound(engine.omega, engine.phi, Wmax, rho)
@@ -144,7 +158,7 @@ def u1_field(
     pt.require_in_wedge(engine.params)
     _certify_rho(engine, contour, pt.rho)
     pole = _moving_pole(engine, pt.theta)
-    dist = float(np.min(np.abs(contour.w - pole)))
+    dist = _pole_distance(contour, engine, pt.theta)
     if dist < engine.tol.pole_clearance:
         raise PoleError(
             f"moving pole {pole:.6g} within {dist:.3e} of contour",

@@ -59,10 +59,12 @@ class VerificationReport:
     params: Dict[str, object]
     checks: List[CheckResult]
     overall: bool
+    kernel: Dict[str, object] = field(default_factory=dict)  # engine1.branch_json()
 
     def as_dict(self) -> Dict[str, object]:
         return {
             "params": self.params,
+            "kernel": self.kernel,
             "checks": [
                 {
                     "name": c.name,
@@ -420,7 +422,8 @@ def run_full_suite(
     guarded(lambda: check_contour_independence(engine1, 10, seed), "contour_independence")
     checks.sort(key=lambda c: c.name)
     overall = all(c.passed for c in checks)
-    return VerificationReport(_params_echo(params, seed), checks, overall)
+    return VerificationReport(_params_echo(params, seed), checks, overall,
+                              engine1.branch_json())
 
 
 def _params_echo(params: ProblemParams, seed: int) -> Dict[str, object]:

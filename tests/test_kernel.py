@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from wedgebvp.core import PI, ProblemParams
-from wedgebvp.errors import DomainError, NearArcError, PoleError
+from wedgebvp.errors import DomainError, PoleError
 from wedgebvp.kernel import PHI_SWITCH_EPS, KernelEngine, build_engine
 from wedgebvp.verify import residue_at
 
@@ -106,30 +106,6 @@ def test_g2_elementary_closed_form():
     assert np.max(np.abs(e.g2_hat(w) - closed)) < 1e-12
 
 
-def test_t_map_endpoints_and_limits(engines):
-    for e in engines.values():
-        assert abs(e.t_map(1j * (PI / 2.0 + e.phi))) < 1e-14
-        assert abs(e.t_map(1j * (PI / 2.0 - e.phi))) < 1e-14
-        # coth^2 - 1 decays like 4*e^{-pi*x/Phi} along the strip.
-        assert abs(e.t_map(40.0 + 0.4j) - 1.0) < 40.0 * math.exp(-40.0 * PI / e.phi)
-
-
-def test_t_map_even_under_automorphism(engines):
-    rng = np.random.default_rng(9)
-    for e in engines.values():
-        w = _points(rng, 20)
-        w = w[np.abs(w - 1j * PI / 2.0) > 0.3]
-        assert np.max(np.abs(e.t_map(-w + 1j * PI) - e.t_map(w))) < 1e-11
-
-
-def test_dt_map_matches_finite_difference(engines):
-    e = engines[7 * PI / 4]
-    h = 1e-6
-    for w in (0.7 + 0.9j, -1.2 + 2.5j, 2.0 - 1.0j):
-        fd = (e.t_map(w + h) - e.t_map(w - h)) / (2.0 * h)
-        assert abs(e.dt_map(w) - fd) < 1e-6 * max(1.0, abs(fd))
-
-
 def test_supplement_t2_structure(engines):
     for phi in (4 * PI / 3, 7 * PI / 4):
         e = engines[phi]
@@ -205,39 +181,41 @@ def test_v1_residue_at_moving_pole_image(engines):
         assert abs(residue_at(e.v1_hat, -p1 - 1j * PI)) < 1e-7
 
 
-def test_cauchy_a1_decays_at_infinity(engines):
-    e = engines[7 * PI / 4]
-    assert abs(e.cauchy_a1(1e6 + 0.0j)) < 1e-5
-    assert abs(e.cauchy_a1(1e6 + 0.0j)) > 10.0 * abs(e.cauchy_a1(1e8 + 0.0j))
+def _strip_point(e, x, sigma):
+    """The point at abscissa x and strip coordinate sigma above the carrier."""
+    r = e.omega.real / e.omega.imag
+    return x + 1j * (math.atan(r * math.tanh(x)) + PI / 2.0 - e.phi + sigma)
 
 
-def test_cauchy_a1_plemelj_jump(engines):
-    # The one-sided boundary values across the jump arc differ by exactly the
-    # density, which is G2 transported to the t plane.
-    e = engines[7 * PI / 4]
-    tab = e._tables["base"]
-    for j in (len(tab.t) // 4, len(tab.t) // 3, len(tab.t) // 2):
-        t0 = tab.t[j]
-        jump = e.cauchy_a1(t0, side="upper") - e.cauchy_a1(t0, side="lower")
-        assert abs(jump - tab.g2[j]) < 1e-6
+@pytest.mark.parametrize("omega, phi", [
+    (1j, 4 * PI / 3), (0.5 + 1j, 7 * PI / 4), (1 + 0.3j, 7 * PI / 4),
+])
+def test_v11_continuous_across_strip_edges(omega, phi):
+    # a1 in the strip is a Cauchy-type integral along L = Gamma_{pi/2-Phi}
+    # whose jump across L is G2; the difference equation continues it past
+    # both edges sigma = 0 and 2*Phi, so v11 has no jump there.
+    e = build_engine(ProblemParams(omega=omega, phi=phi))
+    for x in (-2.3, -0.7, 0.0, 0.4, 1.9):
+        for edge in (0.0, 2.0 * phi):
+            w = _strip_point(e, x, edge)
+            # v11 at w +- eps*i, less the first-order part that the points
+            # at +-2*eps*i carry as well.
+            f = [e.v11_hat(w + 1j * s) for s in (1e-9, -1e-9, 2e-9, -2e-9)]
+            jump = (f[0] - f[1]) - 0.5 * (f[2] - f[3])
+            assert abs(jump) < 1e-10, (x, edge)
 
 
-def test_cauchy_a1_near_arc_guard(engines):
-    e = engines[7 * PI / 4]
-    t0 = e._tables["base"].t[50]
-    with pytest.raises(NearArcError):
-        e.cauchy_a1(t0)
-    with pytest.raises(DomainError):
-        e.cauchy_a1(t0, side="sideways")
-    with pytest.raises(DomainError):
-        build_engine(ProblemParams(omega=1j, phi=1.5 * PI)).cauchy_a1(2.0 + 0j)
-
-
-def test_constant_extraction_stable_under_resolution():
-    p = ProblemParams(omega=0.5 + 1j, phi=7 * PI / 4)
-    c_default = build_engine(p).const_C
-    c_fine = build_engine(p, n_beta=1024).const_C
-    assert abs(c_default - c_fine) < 1e-7
+@pytest.mark.parametrize("omega", [1j, 0.5 + 1j])
+@pytest.mark.parametrize("phi", [1.05 * PI, 4 * PI / 3, 7 * PI / 4, 1.95 * PI])
+def test_v11_growth_has_no_constant_term(omega, phi):
+    # The normalisation: v11(w) = sign(Re w)*(sin Phi/Phi)*(w - pi*i/2) + o(1),
+    # the remainder being e^{-pi*|Re w|/Phi} (at most 1.7e-10 at |Re w| = 40).
+    e = build_engine(ProblemParams(omega=omega, phi=phi))
+    for x in (40.0, -40.0):
+        for sigma in (0.5, phi, 2.0 * phi - 0.5):
+            w = _strip_point(e, x, sigma)
+            lin = math.copysign(1.0, x) * (math.sin(phi) / phi) * (w - 0.5j * PI)
+            assert abs(e.v11_hat(w) - lin) <= 1e-9, (x, sigma)
 
 
 def test_v1_asymptotic_overlap(engines):
@@ -294,50 +272,3 @@ def test_build_engine_second_wavenumber():
     e2 = build_engine(p, k=p.k2)
     assert isinstance(e2, KernelEngine)
     assert abs(np.sinh(e2.branch.p1) - 1j * p.k2 / p.omega) < 1e-10
-
-
-def _reference_cauchy_eval(t, table):
-    """The plain complex-arithmetic form of KernelEngine._cauchy_eval.
-
-    Complex division on every (point, node) pair, and the polyline integral
-    as a sum of complex segment logs; kept here as the oracle for the
-    blocked real-arithmetic evaluator.
-    """
-    tpj = table.tpj
-    dens = table.g2 * tpj
-    gaps = np.abs(np.diff(table.t))
-    sp = np.empty(table.t.size)
-    sp[0] = gaps[0]
-    sp[-1] = gaps[-1]
-    sp[1:-1] = 0.5 * (gaps[:-1] + gaps[1:])
-    diff = table.t[None, :] - t[:, None]
-    absdiff = np.abs(diff)
-    jstar = np.argmin(absdiff, axis=1)
-    dmin = absdiff[np.arange(t.size), jstar]
-    near = ((dmin < 10.0 * sp[jstar]) | (np.abs(t - 1.0) < 1e-2)
-            | (np.abs(t) < 1e-2))
-    vals = np.sum(dens[None, :] / diff, axis=1)
-    g2s = table.g2[jstar[near]]
-    ratio = (dens[None, :] - g2s[:, None] * tpj[None, :]) / diff[near]
-    poly = table.t_poly
-    logs = np.log((poly[None, 1:] - t[near, None])
-                  / (poly[None, :-1] - t[near, None]))
-    vals[near] = np.sum(ratio, axis=1) + g2s * np.sum(logs, axis=1)
-    return vals / (2j * PI), near
-
-
-@pytest.mark.parametrize("phi", [4 * PI / 3, 7 * PI / 4, 1.05 * PI])
-def test_cauchy_eval_matches_complex_reference(phi):
-    e = build_engine(ProblemParams(omega=0.5 + 1j, phi=phi))
-    rng = np.random.default_rng(29)
-    for key in ("base", "up", "down"):
-        tab = e._tables[key]
-        nodes = tab.t[rng.choice(tab.t.size, 40, replace=False)]
-        rim = rng.uniform(1e-6, 1e-4, 40) * np.exp(2j * PI * rng.random(40))
-        ends = rng.uniform(1e-4, 1e-2, 40) * np.exp(2j * PI * rng.random(40))
-        far = 3.0 * (rng.standard_normal(60) + 1j * rng.standard_normal(60))
-        t = np.concatenate([far, nodes + rim, ends, 1.0 + ends])
-        want, near = _reference_cauchy_eval(t, tab)
-        assert near.sum() >= 120 and (~near).sum() >= 20
-        got = e._cauchy_eval(t, tab)
-        assert np.max(np.abs(got - want) / np.abs(want)) < 1e-13

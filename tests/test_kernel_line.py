@@ -1,0 +1,143 @@
+"""The CauchyBuilt strip kernel against references that share no quadrature.
+
+a1 is a pole-corrected trapezoid sum along the carrier L = Gamma_{pi/2-Phi}.
+Three references check it:
+
+* the mpmath quadrature of the same line integral (tests/oracle.py), which
+  shares the formula but neither the nodes nor the pole corrections;
+* the mean-value property of analytic functions, which shares nothing;
+* continuity of v1 across Re w = 0, where an earlier construction folded
+  the plane by the automorphy h1 and jumped.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from oracle import a1_difference
+from wedgebvp.core import PI, ProblemParams
+from wedgebvp.kernel import build_engine
+from wedgebvp.verify import check_pole_portrait
+
+
+def _strip_point(e, x, sigma):
+    """The point at abscissa x and strip coordinate sigma above the carrier."""
+    r = e.omega.real / e.omega.imag
+    return x + 1j * (math.atan(r * math.tanh(x)) + PI / 2.0 - e.phi + sigma)
+
+
+def _oracle_errors(e, points):
+    w_ref = _strip_point(e, 0.37, e.phi)
+    a_ref = e.a1_hat(w_ref)
+    errs = []
+    for x, sigma in points:
+        w = _strip_point(e, x, sigma)
+        want = a1_difference(e.omega, e.phi, e.k, w, w_ref)
+        errs.append(abs(e.a1_hat(w) - a_ref - want))
+    return errs
+
+
+@pytest.mark.parametrize("omega", [1j, 0.5 + 1j])
+@pytest.mark.parametrize("phi", [1.05 * PI, 4 * PI / 3, 7 * PI / 4, 1.95 * PI])
+def test_a1_matches_oracle(omega, phi):
+    e = build_engine(ProblemParams(omega=omega, phi=phi))
+    points = [(0.7, 0.05), (-1.3, phi), (2.1, 2.0 * phi - 0.05)]
+    assert max(_oracle_errors(e, points)) <= 1e-11
+
+
+def test_a1_matches_oracle_at_tilted_omega():
+    # a = arctan(0.3) = 0.29: the carrier bends sharply at x = 0.  The
+    # table kernel this replaced was off here by up to 1.1e-1.
+    e = build_engine(ProblemParams(omega=1 + 0.3j, phi=7 * PI / 4))
+    points = [(0.3, 1e-6), (0.05, 0.5), (-0.2, 2.0 * e.phi - 1e-6)]
+    assert max(_oracle_errors(e, points)) <= 1e-11
+
+
+def test_a1_matches_oracle_at_strongly_tilted_omega():
+    # a = arctan(0.1) = 0.10 needs a step of 0.0073 and about 6000 nodes.
+    e = build_engine(ProblemParams(omega=1 + 0.1j, phi=7 * PI / 4))
+    assert e.line_nodes <= 6100
+    points = [(0.1, 0.3), (-0.4, 2.0 * e.phi - 0.3)]
+    assert max(_oracle_errors(e, points)) <= 1e-8
+
+
+@pytest.mark.parametrize("omega", [1j, 0.5 + 1j, 1 + 0.5j, 1 + 0.3j])
+@pytest.mark.parametrize("phi", [4 * PI / 3, 7 * PI / 4])
+def test_a1_mean_value_property(omega, phi):
+    # The mean of an analytic function over a circle is its centre value;
+    # circles of radius 0.25 around strip points reach across L and into
+    # the difference-equation continuation.
+    e = build_engine(ProblemParams(omega=omega, phi=phi))
+    rng = np.random.default_rng(20260825)
+    x = rng.uniform(-1.5, 1.5, 20)
+    sigma = rng.uniform(0.3, 2.0 * phi - 0.3, 20)
+    centres = np.array([_strip_point(e, xi, si) for xi, si in zip(x, sigma)])
+    ring = np.exp(2j * PI * np.arange(256) / 256)
+    for radius in (0.1, 0.25):
+        z = centres[:, None] + radius * ring[None, :]
+        means = e.a1_hat(z.ravel()).reshape(z.shape).mean(axis=1)
+        assert np.max(np.abs(means - e.a1_hat(centres))) <= 1e-11, radius
+
+
+def _jump(f, w, direction, eps=1e-9):
+    """f(w + eps*d) - f(w - eps*d) with its first-order part removed.
+
+    The difference at +-2*eps, halved, carries the same derivative term, so
+    what remains is the jump of f across the line through w plus O(eps^3).
+    """
+    d = eps * direction
+    return (f(w + d) - f(w - d)) - 0.5 * (f(w + 2.0 * d) - f(w - 2.0 * d))
+
+
+def _clear_of_poles(e, w, clearance=0.3):
+    """Drop points near any pole of v1 or of its strip continuations."""
+    poles = [a + 2j * PI * n for a in e._g2_anchors() for n in range(-4, 5)]
+    poles += list(e.pole_list().values())
+    poles = np.array([q + 2j * e.phi * m for q in poles for m in range(-2, 3)])
+    return w[np.min(np.abs(w[:, None] - poles[None, :]), axis=1) > clearance]
+
+
+@pytest.mark.parametrize("omega, phi", [
+    (1j, 4 * PI / 3), (0.5 + 1j, 7 * PI / 4), (1 + 0.3j, 4 * PI / 3),
+    (1 + 0.1j, 7 * PI / 4),
+])
+def test_v1_continuous_across_seam(omega, phi):
+    # Re w = 0 crosses the carrier where a tilted one bends most.
+    e = build_engine(ProblemParams(omega=omega, phi=phi))
+    y = np.linspace(PI / 2.0 - 2.0 * phi, PI / 2.0 + 2.0 * phi, 161)
+    y = _clear_of_poles(e, 1j * y).imag
+    assert y.size > 80
+    assert np.max(np.abs(_jump(e.v1_hat, 1j * y, 1.0))) <= 1e-11
+
+
+def test_density_poles_near_the_carrier():
+    # Two G2 poles sit 3e-4 from L here; the corrected sum needs no panel
+    # refinement and the engine builds (it raised PoleError before).
+    e = build_engine(ProblemParams(omega=0.126 + 0.755j, phi=1.4999 * PI, k1=1.638))
+    assert len(e.line_poles) == 2
+    assert np.max(np.abs(e._sigma(e.line_poles))) < 1e-3
+    q = e.line_poles
+    points = [(q[0].real, 0.01), (q[1].real, 2.0 * e.phi - 0.01)]
+    assert max(_oracle_errors(e, points)) <= 1e-11
+
+
+def test_no_pole_error_near_three_halves_pi():
+    rng = np.random.default_rng(1480152)
+    for _ in range(100):
+        p = ProblemParams(
+            omega=complex(rng.uniform(0.0, 1.0), rng.uniform(0.3, 1.5)),
+            phi=rng.uniform(1.48 * PI, 1.52 * PI), k1=rng.uniform(0.3, 3.0),
+        )
+        e = build_engine(p)
+        if e.kind == "CauchyBuilt":
+            w = np.array([_strip_point(e, x, e.phi) for x in (-1.0, 0.0, 2.0)])
+            assert np.all(np.isfinite(e.a1_hat(w)))
+
+
+def test_pole_portrait_at_strongly_tilted_omega():
+    # The v11 ring at -p1 - pi*i did not converge on the table kernel here.
+    e = build_engine(ProblemParams(omega=1 + 0.1j, phi=7 * PI / 4))
+    result = check_pole_portrait(e)
+    assert result.passed, result.context
+

@@ -15,9 +15,9 @@ import sys
 import numpy as np
 import pytest
 
-from wedgebvp.core import PI, PolarPoint, ProblemParams
+from wedgebvp.core import PI, PolarPoint, ProblemParams, Tolerances
 from wedgebvp.contour import decomposition_contour, sommerfeld_double_loop
-from wedgebvp.errors import DomainError, GeometryError, QuadratureError, RayError
+from wedgebvp.errors import DomainError, GeometryError, PoleError, QuadratureError, RayError
 from wedgebvp import solver
 from wedgebvp.kernel import build_engine
 from wedgebvp.solver import (
@@ -212,6 +212,32 @@ def test_kernel_cache_never_serves_a_freed_engine():
         got = solver._kernel_on(cont, engine, theta)
         assert np.array_equal(got, engine.v1_hat(cont.w + 1j * theta))
         del engine
+
+
+def test_pole_guard_holds_on_a_warm_contour():
+    # The moving-pole distance is kept per (engine, theta) on the contour;
+    # once it is there, a point of the same theta at another rho must still
+    # raise, with the message a cold contour gives.
+    # The contour is laid out under the default clearance, the engine asks
+    # for more: the pole then comes within it at some theta.
+    p0 = ProblemParams(omega=1j, phi=1.5 * PI)
+    p = ProblemParams(omega=1j, phi=1.5 * PI, tol=Tolerances(pole_clearance=1.5))
+    e = build_engine(p)
+    cont = sommerfeld_double_loop(p0, rho_min=0.5)
+    for theta in np.linspace(p.theta_min, p.theta_max, 41):
+        try:
+            u1_field(PolarPoint(1.0, float(theta)), e, cont, check=False)
+        except PoleError as exc:
+            first = str(exc)
+            break
+    else:
+        pytest.fail("no theta puts the moving pole within the clearance")
+    with pytest.raises(PoleError) as warm:
+        u1_field(PolarPoint(2.0, float(theta)), e, cont, check=False)
+    with pytest.raises(PoleError) as cold:
+        u1_field(PolarPoint(2.0, float(theta)), e,
+                 sommerfeld_double_loop(p0, rho_min=0.5), check=False)
+    assert str(warm.value) == first == str(cold.value)
 
 
 def test_grid_eval_thread_determinism(setup, monkeypatch):
