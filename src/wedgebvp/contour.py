@@ -27,14 +27,15 @@ Contours provided:
   Gamma_{-pi/2} (right to left), on which the plane/diffracted splitting of
   the field is computed.
 
-Quadrature on these contours is composite Gauss-Legendre per panel; tail
+Quadrature on the double loop is composite Gauss-Legendre per panel; tail
 panels are spaced uniformly in sinh(Re w) so that the oscillation of the
 exponential factor is resolved evenly.
 
 A whole Gamma_alpha line can also be laid out for the trapezoid rule in a
-parameter u (_Line): the kernel module sums its Cauchy-type integral along
-the carrier Gamma_{pi/2-Phi} this way, with pole corrections located by
-_Line.locate.
+parameter u (_Line), and a simple pole near it is restored by _missed_pole.
+The kernel module sums its Cauchy-type integral along the carrier
+Gamma_{pi/2-Phi} this way, and the decomposition contour is two such lines,
+on which the solver corrects the moving kernel pole.
 """
 
 from __future__ import annotations
@@ -92,11 +93,12 @@ def truncation_cutoff(omega: complex, tau0: float, rho: float, tol: float) -> fl
 
 
 class ContourPolyline:
-    """Discretized oriented contour with Gauss quadrature data.
+    """Discretized oriented contour with its quadrature data.
 
     nodes carry (w, dw, weight): the integral of f along the contour is
     sum(f(w) * dw * weight), with dw the tangent times the panel scale and
-    weight the reference Gauss-Legendre weight.
+    weight the reference Gauss-Legendre weight, or, on trapezoid lines, dw
+    the step times dw/du and weight 1.
 
     Besides the nodes a contour keeps what the field integrand needs of them:
 
@@ -129,7 +131,9 @@ class ContourPolyline:
         self._refined: Optional[ContourPolyline] = None
         self.Wmax = float(np.max(np.abs(self.w.real)))
         self.cache: dict = {}
-        self.meta: dict = {}
+        # The upper line's trapezoid grid (_Line, h, u0) on a decomposition
+        # contour, for the moving-pole correction.
+        self.upper_grid: Optional[Tuple["_Line", float, float]] = None
         self._sinh_w: Optional[np.ndarray] = None
         self._exp_slot: Optional[Tuple[complex, float, np.ndarray]] = None
 
@@ -185,22 +189,6 @@ def _tail_breaks(w1_from: float, w1_to: float, n_panels: int) -> np.ndarray:
     return np.arcsinh(np.linspace(s0, s1, n_panels + 1))
 
 
-def _insert_refinement(
-    breaks: np.ndarray, center: float, min_width: float, width: float
-) -> np.ndarray:
-    """Add panels around an interior abscissa, halving from width to min_width."""
-    lo, hi = breaks[0], breaks[-1]
-    if not (lo < center < hi):
-        return breaks
-    extra = []
-    while width > min_width:
-        extra.extend((center - width, center + width))
-        width *= 0.5
-    pts = np.concatenate([breaks, [center - min_width, center + min_width], extra])
-    pts = pts[(pts >= lo) & (pts <= hi)]
-    return np.unique(pts)
-
-
 def _gamma_piece(
     omega: complex, alpha: float, breaks: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -219,6 +207,16 @@ def _vertical_piece(
     w = x + 1j * s
     dw = 1j * scale
     return w, dw, wt
+
+
+def _missed_pole(res, u_star, u0: float, h: float, side):
+    """What the trapezoid sum on u0 + j*h misses of res/(u - u_star).
+
+    side is the sign of Im u_star; side 0 gives the principal value for a
+    pole on the real u axis.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return PI * res * (1.0 / np.tan(PI * (u_star - u0) / h) + 1j * side)
 
 
 class _Line:
@@ -479,48 +477,49 @@ def sommerfeld_double_loop(
     return ContourPolyline(w, dw, wt, label, comps, refiner=refine)
 
 
-def decomposition_contour(
-    p: ProblemParams,
-    Wmax: Optional[float] = None,
-    n: int = 400,
-    rho_min: float = 0.25,
-    tol: Optional[float] = None,
-) -> ContourPolyline:
+def decomposition_contour(p: ProblemParams, rho_min: float = 0.25) -> ContourPolyline:
     """Gamma_{-5pi/2} traversed left-to-right then Gamma_{-pi/2} right-to-left.
 
-    The second component is refined near Re w = -Re p1, above which the
-    moving kernel pole passes when theta crosses 3pi/2.
+    Both lines carry the trapezoid nodes u0 + j*h of _Line, h = _Line.step,
+    cut at Wmax; refined() halves h.  The moving kernel pole
+    -p1 + pi*i - i*theta crosses the upper line at x = -Re p1 when theta =
+    3pi/2.  u0 keeps that crossing, for k1 and for k2, at least h/8 in u
+    from every node of both grids, and upper_grid hands (line, h, u0) to
+    the pole correction of u1_decomposed.
     """
     validate_params(p)
-    if tol is None:
-        tol = p.tol.quad_rel
-    if Wmax is None:
-        Wmax = truncation_cutoff(p.omega, PI / 2.0, rho_min, tol * 1e-2)
-    Wmax = max(Wmax, 3.0)
+    tol = p.tol.quad_rel
+    Wmax = max(truncation_cutoff(p.omega, PI / 2.0, rho_min, tol * 1e-2), 3.0)
     _certify_tail(p, Wmax, rho_min, tol)
-    x_pole = -branch_point(p, p.k1).p1.real
-    n_half = max(10, n // 32)
+    upper = _Line(p.omega, -PI / 2.0)
+    h = upper.step
+    # Preimages of the crossings x = -Re p1 in units of h/2: the sinh layer
+    # inverts in closed form, the tanh layer by Newton on the real axis.
+    # u0 is the residue mod h/2 farthest from both, at least h/8 from each.
+    a, b = upper.a, upper.b
+    t = []
+    for k in (p.k1, p.k2):
+        y = u = upper.S * math.asinh(-branch_point(p, k).p1.real / upper.S)
+        for _ in range(60 if b else 0):
+            th = math.tanh(u / (3.0 * a))
+            du = (u - b * th - y) / (1.0 - (1.0 - a) * (1.0 - th * th))
+            u -= du
+            if abs(du) <= 1e-15 * (1.0 + abs(u)):
+                break
+        t.append(u / (0.5 * h))
+    d = (t[1] - t[0]) % 1.0
+    u0 = 0.5 * h * ((t[0] + 0.5 * d + (0.0 if d > 0.5 else 0.5)) % 1.0)
 
-    def build(n_half=n_half):
-        line = _tail_breaks(-Wmax, Wmax, 2 * n_half)
-        lower = _gamma_piece(p.omega, -5.0 * PI / 2.0, line)
-        refined = _insert_refinement(line, x_pole, 0.01, 0.4)
-        upper = _gamma_piece(p.omega, -PI / 2.0, refined[::-1])
-        return _concat([("lower_line", lower), ("upper_line", upper)])
+    def build(step, label, refiner=None):
+        _, w, dw = upper.nodes(step, Wmax, u0)
+        ones = np.ones(w.size)
+        # Gamma_{-5pi/2} is Gamma_{-pi/2} moved down by 2pi*i.
+        w, dw, wt, comps = _concat([
+            ("lower_line", (w - 2j * PI, dw, ones)),
+            ("upper_line", (w[::-1], -dw[::-1], ones)),
+        ])
+        cont = ContourPolyline(w, dw, wt, label, comps, refiner=refiner)
+        cont.upper_grid = (upper, step, u0)
+        return cont
 
-    w, dw, wt, comps = build()
-    label = "decomposition"
-    # True curve endpoints of the upper line (in traversal order): the Gauss
-    # nodes are interior, so near-pole polyline corrections need these.
-    ends = (_gamma_points(p.omega, -PI / 2.0, np.array([Wmax, -Wmax])))
-
-    def refine():
-        wr, dwr, wtr, compr = build(n_half * 2)
-        fine = ContourPolyline(wr, dwr, wtr, label + "_fine", compr)
-        fine.meta["upper_ends"] = (complex(ends[0]), complex(ends[1]))
-        return fine
-
-    cont = ContourPolyline(w, dw, wt, label, comps, refiner=refine)
-    cont.meta["upper_ends"] = (complex(ends[0]), complex(ends[1]))
-    return cont
-
+    return build(h, "decomposition", lambda: build(0.5 * h, "decomposition_fine"))

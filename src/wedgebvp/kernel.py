@@ -71,7 +71,6 @@ pole up to 5e-13 of the difference-equation residual.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
@@ -85,7 +84,7 @@ from .core import (
     branch_point,
     validate_params,
 )
-from .contour import _Line
+from .contour import _Line, _missed_pole
 from .errors import DomainError, PoleError
 
 PHI_SWITCH_EPS = 1e-9
@@ -155,12 +154,6 @@ def _coth(z: np.ndarray) -> np.ndarray:
         return 1.0 / np.tanh(z)
 
 
-def _missed_pole(res, u_star, u0: float, h: float, side):
-    """What the trapezoid sum on u0 + j*h misses of res/(u - u_star)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return PI * res * (1.0 / np.tan(PI * (u_star - u0) / h) + 1j * side)
-
-
 # Pairs of (evaluation point, line node) per block of the Cauchy sum: the
 # three real work arrays of this many doubles, reused from block to block,
 # stay cache resident.
@@ -206,7 +199,6 @@ class KernelEngine:
         self.phi = float(params.phi)
         self.omega = complex(params.omega)
         self.tol = params.tol
-        self.pole_clearance = params.tol.pole_clearance
         self.branch: BranchPoint = branch_point(params, k)
         self.q1 = -self.branch.p1 - 1j * PI + 2j * self.phi
         self.kind = (
@@ -221,21 +213,6 @@ class KernelEngine:
         self.line_poles = np.empty(0, dtype=complex)
         if self.kind == "CauchyBuilt":
             self._build_line()
-
-    @contextmanager
-    def relaxed_guard(self, clearance: float = 1e-12):
-        """Temporarily lower the pole guard for deliberate near-pole work.
-
-        Pole-subtracted quadrature evaluates the kernel very close to the
-        moving pole on purpose; the subtraction cancels the singular part, so
-        the guard that protects ordinary callers must step aside.
-        """
-        old = self.pole_clearance
-        self.pole_clearance = float(clearance)
-        try:
-            yield self
-        finally:
-            self.pole_clearance = old
 
     # ------------------------------------------------------------------
     # geometry helpers
@@ -252,7 +229,7 @@ class KernelEngine:
         arr, scalar = _as_c_array(w)
         p1 = self.branch.p1
         _guard(arr, (p1, -p1 + 1j * PI), 2j * PI,
-               self.pole_clearance, "G")
+               self.tol.pole_clearance, "G")
         val = (1j * self.omega * np.sinh(arr - 1j * self.phi)
                / (1j * self.omega * np.sinh(arr) + self.k))
         return _ret(val, scalar)
@@ -265,7 +242,7 @@ class KernelEngine:
     def g2_hat(self, w):
         arr, scalar = _as_c_array(w)
         _guard(arr, self._g2_anchors(), 2j * PI,
-               self.pole_clearance, "G2")
+               self.tol.pole_clearance, "G2")
         return _ret(self._g2(arr), scalar)
 
     def _g2(self, w: np.ndarray) -> np.ndarray:
@@ -289,7 +266,7 @@ class KernelEngine:
             raise DomainError("T1 exists only for CauchyBuilt engines with Phi > 3*pi/2")
         arr, scalar = _as_c_array(w)
         _guard(arr, (self.q1, -self.q1 + 1j * PI), 2j * self.phi,
-               self.pole_clearance, "T1")
+               self.tol.pole_clearance, "T1")
         return _ret(self._t_supplement(arr, self.q1, self.branch.r1), scalar)
 
     def T2(self, w):
@@ -298,7 +275,7 @@ class KernelEngine:
         arr, scalar = _as_c_array(w)
         p1 = self.branch.p1
         _guard(arr, (p1, -p1 + 1j * PI), 2j * self.phi,
-               self.pole_clearance, "T2")
+               self.tol.pole_clearance, "T2")
         return _ret(self._t_supplement(arr, p1, self.branch.r2), scalar)
 
     # ------------------------------------------------------------------
@@ -309,7 +286,7 @@ class KernelEngine:
             raise DomainError("m_func requires the Elementary engine")
         arr, scalar = _as_c_array(w)
         p1 = self.branch.p1
-        _guard(arr, (p1, -p1), 1j * PI, self.pole_clearance, "m")
+        _guard(arr, (p1, -p1), 1j * PI, self.tol.pole_clearance, "m")
         # G2 is pi*i periodic here; evaluate it at the translate of w
         # nearest the real axis.
         z = _minus_nearest_image(arr, 0j, 0, 1)
@@ -341,7 +318,7 @@ class KernelEngine:
             raise DomainError("Q_func requires the Elementary engine")
         arr, scalar = _as_c_array(w)
         p1 = self.branch.p1
-        _guard(arr, (p1, -p1), 1j * PI, self.pole_clearance, "Q")
+        _guard(arr, (p1, -p1), 1j * PI, self.tol.pole_clearance, "Q")
         val = np.zeros(arr.shape, dtype=complex)
         for base, l, coeff in self._q_terms():
             # coth(z/3) is 3*pi*i periodic: reduce w - a by that period.

@@ -20,8 +20,9 @@ residue picked up when the double loop is opened up across the pole
 -p1 + pi*i - i*theta, which crosses the upper curve exactly at
 theta = 3*pi/2.  On that ray the diffracted integral exists as a principal
 value and the one-sided limits differ by -+ u_p/2 (Sokhotski-Plemelj), so
-u1 itself stays continuous; both the PV evaluation and the near-ray
-pole-subtracted quadrature are provided.
+u1 itself stays continuous.  Both curves are trapezoid lines; what the sum
+misses of the moving pole, on either side of the upper line or as a
+principal value on it, is added in closed form (contour._missed_pole).
 
 Truncation of every contour tail is certified through the bound
 |e^{-omega*rho*sinh w}| <= e^{-C*rho*cosh(Re w)} times the linear growth of
@@ -46,10 +47,10 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .contour import ContourPolyline, _tail_bound, sommerfeld_double_loop
+from .contour import ContourPolyline, _missed_pole, _tail_bound, sommerfeld_double_loop
 from .core import PI, TWO_PI, PolarPoint, ProblemParams, theta_reflect
 from .errors import DomainError, GeometryError, PoleError, QuadratureError, RayError, FitError, WedgeError
-from .kernel import KernelEngine
+from .kernel import _NEAR_STEPS, KernelEngine
 
 
 @dataclass(frozen=True)
@@ -184,20 +185,6 @@ def u1_field(
     return FieldSample(pt, val, "FullContour", est)
 
 
-def _polyline_cauchy(z: np.ndarray, a: complex, pv: bool = False) -> complex:
-    """Int dw/(w - a) along the node polyline; PV if a lies on the path."""
-    num = z[1:] - a
-    den = z[:-1] - a
-    logs = np.log(num / den)
-    if pv:
-        # Replace the log on the segment carrying the pole by its real part
-        # (the principal value drops the half-residue jumps symmetrically).
-        mid = 0.5 * (z[1:] + z[:-1])
-        seg = int(np.argmin(np.abs(mid - a)))
-        logs[seg] = logs[seg].real
-    return complex(np.sum(logs))
-
-
 def u1_decomposed(
     pt: PolarPoint,
     engine: KernelEngine,
@@ -206,53 +193,35 @@ def u1_decomposed(
 ) -> FieldSample:
     """Plane/diffracted decomposition: u_d plus u_p when theta > 3*pi/2.
 
-    At theta = 3*pi/2 the diffracted integrand has a pole on the upper curve;
-    with pv=True the principal value is taken and the half plane wave added,
-    which reproduces the (continuous) value of u1 on the ray.
+    u_d is the trapezoid sum over the two lines plus what it misses of the
+    moving pole w* = -p1 + pi*i - i*theta, which sits 3pi/2 - theta above
+    the upper line and has residue e^{-omega*rho*sinh w*} * 2i*sin(Phi).
+    At theta = 3*pi/2 the pole lies on the line; with pv=True the principal
+    value is taken and the half plane wave added, which reproduces the
+    (continuous) value of u1 on the ray.
     """
     pt.require_in_wedge(engine.params)
     _certify_rho(engine, contour=dec_contour, rho=pt.rho)
-    theta = pt.theta
-    share = plane_share(theta)
-    ray = share == 0.5
-    if ray and not pv:
+    share = plane_share(pt.theta)
+    if share == 0.5 and not pv:
         raise RayError(
             "theta = 3*pi/2 needs pv=True (or use u1_field on the full contour)"
         )
-    pole = _moving_pole(engine, theta)
-    prefac = 1.0 / (4.0 * PI * math.sin(engine.phi))
-    upper = dict(dec_contour.components)["upper_line"]
-    w_up = dec_contour.w[upper]
-    dist = float(np.min(np.abs(w_up - pole)))
-    near = ray or dist <= 0.15
-    if near:
-        with engine.relaxed_guard():
-            kern = _kernel_on(dec_contour, engine, theta)
-    else:
-        kern = _kernel_on(dec_contour, engine, theta)
-    expf = np.exp(-engine.omega * pt.rho * np.sinh(dec_contour.w))
-    fvals = expf * kern
-
-    if not near:
-        total = dec_contour.integrate(fvals)
-    else:
-        # Pole-subtracted quadrature on the upper curve: residue of v1 in w
-        # at the moving pole is 2*i*sin(Phi).  The subtracted Cauchy term is
-        # restored exactly along the node polyline closed off by the true
-        # curve endpoints, so both pieces truncate at the same abscissa.
-        residue = cmath.exp(-engine.omega * pt.rho * cmath.sinh(pole)) \
-            * 2j * math.sin(engine.phi)
-        mask = np.zeros(dec_contour.w.size, dtype=bool)
-        mask[upper] = True
-        smooth = np.where(mask, fvals - residue / (dec_contour.w - pole), fvals)
-        total = dec_contour.integrate(smooth)
-        ends = dec_contour.meta.get("upper_ends")
-        if ends is not None:
-            path = np.concatenate([[ends[0]], w_up, [ends[1]]])
-        else:
-            path = w_up
-        total += residue * _polyline_cauchy(path, pole, pv=ray)
-    val = prefac * total
+    val = _integrate(engine, dec_contour, pt)
+    line, h, u0 = dec_contour.upper_grid
+    pole = _moving_pole(engine, pt.theta)
+    offset = 1.5 * PI - pt.theta
+    if (abs(pole.real) < dec_contour.Wmax
+            and abs(offset) < line.reach(pole.real, _NEAR_STEPS * h)):
+        side = 0.0 if share == 0.5 else math.copysign(1.0, offset)
+        u_s, ok = line.locate(np.array([pole]))
+        # A root on the wrong side of the real u axis lies on another sheet.
+        if ok[0] and side * u_s[0].imag > -1e-12:
+            res = cmath.exp(-engine.omega * pt.rho * cmath.sinh(pole)) \
+                * 2j * math.sin(engine.phi)
+            # The upper line runs right to left, against u.
+            missed = _missed_pole(res, u_s[0], u0, h, side)
+            val -= missed / (4.0 * PI * math.sin(engine.phi))
     if share:
         val = val + share * u_plane(pt, engine)
     return FieldSample(pt, val, "Decomposed", float("nan"))

@@ -157,7 +157,11 @@ def _sample_points(
     out = np.empty(n, dtype=complex)
     have = 0
     while have < n:
-        cand = rng.uniform(-3.0, 3.0, n) + 1j * rng.uniform(-1.5 * phi, 1.5 * phi, n)
+        # Im w on the grid 2^-40 keeps w + 2i*Phi, and so the difference
+        # equation's shifted point, free of rounding; the move is <= 5e-13.
+        re = rng.uniform(-3.0, 3.0, n)
+        im = np.ldexp(np.round(np.ldexp(rng.uniform(-1.5 * phi, 1.5 * phi, n), 40)), -40)
+        cand = re + 1j * im
         images = np.concatenate([cand[:, None] + shifts,
                                  -cand[:, None] + 1j * PI + shifts[:3]], axis=1)
         d_g2, _ = _lattice_distance(images, g2_anchors, 2j * PI)

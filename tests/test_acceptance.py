@@ -126,6 +126,23 @@ def test_criterion_07_decomposition_and_continuity(configs):
             assert abs(hi - lo) <= 1e-3, f"phi={p.phi:.4f} rho={rho}"
 
 
+def test_decomposed_field_on_the_ray_and_the_walls(configs):
+    # On the ray the moving pole lies on the upper line: the principal value
+    # plus half the plane wave is u1.  On the walls u1 is 0 and e^{-i*k1*rho}.
+    for p, engine, contour in configs:
+        dec = decomposition_contour(p, rho_min=0.2)
+        for rho in RHO_SWEEP:
+            ray = PolarPoint(rho, 1.5 * PI)
+            a = u1_field(ray, engine, contour).value
+            b = u1_decomposed(ray, engine, dec, pv=True).value
+            assert abs(a - b) <= 1e-9, f"phi={p.phi:.4f} omega={p.omega} rho={rho}"
+            dark = u1_decomposed(PolarPoint(rho, p.theta_min), engine, dec).value
+            lit = u1_decomposed(PolarPoint(rho, p.theta_max), engine, dec).value
+            assert abs(dark) <= 1e-12, f"phi={p.phi:.4f} omega={p.omega} rho={rho}"
+            assert abs(lit - cmath.exp(-1j * p.k1 * rho)) <= 1e-12, \
+                f"phi={p.phi:.4f} omega={p.omega} rho={rho}"
+
+
 def test_criterion_08_branch_cross_validation():
     rng = np.random.default_rng(DEFAULT_SEED)
     pts = rng.uniform(-2.5, 2.5, 10) + 1j * rng.uniform(0.5, 2.2, 10)

@@ -132,7 +132,7 @@ def test_decomposition_matches_residue_of_rational_function():
     # Gaussian damping decays along the whole strip, so the closure at
     # Re w = +-infinity is legitimate.
     p = ProblemParams(omega=1j, phi=1.5 * PI)
-    cont = decomposition_contour(p, rho_min=0.5, n=1600)
+    cont = decomposition_contour(p, rho_min=0.5).refined()
     w0 = 0.4 - 1.3j * PI
 
     def g(w):

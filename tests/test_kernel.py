@@ -244,17 +244,6 @@ def test_branch_continuity_across_switch():
     assert 2.0 < gaps[1] / gaps[0] < 4.5
 
 
-def test_relaxed_guard_restores_clearance(engines):
-    e = engines[1.5 * PI]
-    before = e.pole_clearance
-    with e.relaxed_guard():
-        assert e.pole_clearance == 1e-12
-        e.v1_hat(e.branch.p1 + 1e-7)
-    assert e.pole_clearance == before
-    with pytest.raises(PoleError):
-        e.v1_hat(e.branch.p1 + 1e-7)
-
-
 def test_pole_list_and_branch_json(engines):
     e = engines[7 * PI / 4]
     poles = e.pole_list()

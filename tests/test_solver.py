@@ -20,6 +20,7 @@ from wedgebvp.contour import decomposition_contour, sommerfeld_double_loop
 from wedgebvp.errors import DomainError, GeometryError, PoleError, QuadratureError, RayError
 from wedgebvp import solver
 from wedgebvp.kernel import build_engine
+from wedgebvp.verify import check_decomposition
 from wedgebvp.solver import (
     FieldSample,
     GridSpec,
@@ -97,14 +98,58 @@ def test_decomposed_matches_full_contour(setup):
 
 
 def test_decomposed_near_ray_pole_subtraction(setup):
-    # Within 0.15 of the crossing angle the moving pole hugs the upper curve
-    # and the pole-subtracted path is taken; agreement must survive it.
+    # Near the crossing angle the moving pole hugs the upper curve, and the
+    # trapezoid sum misses a large part of it; the pole correction must
+    # restore that on either side of the ray.
     e1, _, cont, dec = setup
     for theta in (1.5 * PI + 0.02, 1.5 * PI - 0.02):
         pt = PolarPoint(1.0, theta)
         a = u1_field(pt, e1, cont).value
         b = u1_decomposed(pt, e1, dec).value
         assert abs(a - b) < 1e-8
+
+
+def test_decomposed_at_a_slowly_converging_config():
+    # A tilted omega with the moving pole 0.98 below the ray: Gauss panels
+    # refined at the pole's abscissa were off by 2.4e-6 here.
+    p = ProblemParams(omega=0.845 + 0.622j, phi=1.716 * PI, k1=0.54, k2=0.54)
+    e = build_engine(p)
+    pt = PolarPoint(0.639, 1.5 * PI - 0.976)
+    a = u1_field(pt, e, sommerfeld_double_loop(p)).value
+    b = u1_decomposed(pt, e, decomposition_contour(p)).value
+    assert abs(a - b) <= 1e-10
+
+
+@pytest.mark.parametrize("phi", [4 * PI / 3, 1.5 * PI, 7 * PI / 4])
+def test_check_decomposition_passes_at_tilted_omega(phi):
+    # At omega = 1 + 0.3i the decomposed field was off by 1.3e-5 to 2.4e-5.
+    p = ProblemParams(omega=1.0 + 0.3j, phi=phi)
+    res = check_decomposition(build_engine(p), sommerfeld_double_loop(p, rho_min=0.2),
+                              decomposition_contour(p, rho_min=0.2))
+    assert res.passed, res
+
+
+def test_decomposed_k2_engine_on_the_shared_contour():
+    # The contour is laid out for both wavenumbers: the k2 engine's moving
+    # pole crosses the upper line at -Re p1(k2), not at the k1 crossing.
+    rng = np.random.default_rng(20261019)
+    worst = 0.0
+    for _ in range(40):
+        phi = rng.uniform(1.05 * PI, 1.93 * PI)
+        if phi >= 1.49 * PI:
+            phi += 0.02 * PI
+        k1, k2 = rng.uniform(0.5, 3.0, 2)
+        p = ProblemParams(omega=complex(rng.uniform(0.0, 1.0), rng.uniform(0.5, 1.5)),
+                          phi=float(phi), k1=float(k1), k2=float(k2))
+        e2 = build_engine(p, k=p.k2)
+        cont = sommerfeld_double_loop(p, rho_min=0.25)
+        dec = decomposition_contour(p, rho_min=0.25)
+        for d in (0.03, 0.12, 0.3, -0.03, -0.12, -0.3):
+            pt = PolarPoint(0.5, 1.5 * PI + d)
+            a = u1_field(pt, e2, cont).value
+            b = u1_decomposed(pt, e2, dec).value
+            worst = max(worst, abs(a - b))
+    assert worst <= 1e-8
 
 
 def test_diffracted_jump_bookkeeping(setup):

@@ -144,6 +144,9 @@ def test_sampled_images_clear_the_g2_pole_lattice():
     # The Elementary difference equation at 1.18e-12 before the periodic
     # reduction in m_func/Q_func; its exact floor is 6.46e-13.
     (ProblemParams(omega=0.5 + 1j, phi=1.5 * PI), 1033173053),
+    # The difference equation at 1.0247e-12: the check's own rounding of
+    # w + 2i*Phi, now exact for samples on the 2^-40 grid in Im w.
+    (ProblemParams(omega=0.5 + 1j, phi=1.5 * PI), 187880360),
 ])
 def test_full_suite_passes_former_failures(params, seed):
     report = run_full_suite(params, seed=seed)
