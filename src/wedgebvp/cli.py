@@ -120,7 +120,7 @@ def _timestamp() -> str:
 def _cmd_field(cfg: RunConfig) -> int:
     e1 = build_engine(cfg.params, cfg.params.k1)
     e2 = build_engine(cfg.params, cfg.params.k2)
-    cont = sommerfeld_double_loop(cfg.params, rho_min=min(0.25, cfg.grid.rho_min))
+    cont = decomposition_contour(cfg.params, rho_min=min(0.25, cfg.grid.rho_min))
     samples = solver.grid_eval(cfg.grid, e1, cont, engine2=e2)
     out = cfg.outputs.get("out_field", "field.csv")
     solver.field_csv(samples, out, cfg.params, timestamp=_timestamp())

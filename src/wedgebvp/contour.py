@@ -22,20 +22,21 @@ Contours provided:
 * the Sommerfeld double loop C(omega) = C1 u C2, where C2 descends the strip
   between Gamma_{-5pi/2} and Gamma_{-pi/2} on the left (tails at Re w <= -b,
   vertical link at Re w = -b) and C1 is its image under w -> -w - 3pi*i,
-  the right-hand loop between the same two curves;
+  the right-hand loop between the same two curves.  Quadrature is
+  composite Gauss-Legendre per panel, tail panels uniform in sinh(Re w).
+  The acceptance tests, origin_probe, the kernel-dump verb and the
+  reference sides of verify's decomposition and contour-independence checks
+  integrate on it.
 * the decomposition contour Gamma_{-5pi/2} (left to right) followed by
-  Gamma_{-pi/2} (right to left), on which the plane/diffracted splitting of
-  the field is computed.
+  Gamma_{-pi/2} (right to left), two trapezoid lines on which the solver
+  corrects the moving kernel pole and adds the plane wave.  The field verb,
+  the decompose verb's u_d column and verify's boundary and helmholtz
+  checks integrate on it.
 
-Quadrature on the double loop is composite Gauss-Legendre per panel; tail
-panels are spaced uniformly in sinh(Re w) so that the oscillation of the
-exponential factor is resolved evenly.
-
-A whole Gamma_alpha line can also be laid out for the trapezoid rule in a
-parameter u (_Line), and a simple pole near it is restored by _missed_pole.
-The kernel module sums its Cauchy-type integral along the carrier
-Gamma_{pi/2-Phi} this way, and the decomposition contour is two such lines,
-on which the solver corrects the moving kernel pole.
+A whole Gamma_alpha line is laid out for the trapezoid rule in a parameter
+u by _Line, and a simple pole near it is restored by _missed_pole.  The
+kernel module sums its Cauchy-type integral along the carrier
+Gamma_{pi/2-Phi} this way too.
 """
 
 from __future__ import annotations
@@ -306,29 +307,30 @@ class _Line:
         |Im x*| < pi/2: off Re x = 0 the vertical path to it crosses no cut
         of the arctan.  A last Newton step on the whole map polishes it.
         """
-        ir = 1j * self.r
-        Z = np.exp(2.0 * (z - 1j * self.alpha))
-        B = (1.0 - ir) * (1.0 - Z)
-        root = np.sqrt(B * B + 4.0 * (1.0 + ir) ** 2 * Z)
-        root = np.where((np.conj(B) * root).real >= 0.0, root, -root)
-        q = -0.5 * (B + root)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # A Newton that diverges overflows; the mask below rejects its root.
+        with np.errstate(all="ignore"):
+            ir = 1j * self.r
+            Z = np.exp(2.0 * (z - 1j * self.alpha))
+            B = (1.0 - ir) * (1.0 - Z)
+            root = np.sqrt(B * B + 4.0 * (1.0 + ir) ** 2 * Z)
+            root = np.where((np.conj(B) * root).real >= 0.0, root, -root)
+            q = -0.5 * (B + root)
             x1 = 0.5 * np.log(q / (1.0 + ir))
             x2 = 0.5 * np.log(-(1.0 + ir) * Z / q)
-        tol = 1e-9 * (1.0 + np.abs(z))
-        good1 = np.abs(_gamma_points(self.omega, self.alpha, x1) - z) < tol
-        good2 = np.abs(_gamma_points(self.omega, self.alpha, x2) - z) < tol
-        x = np.where(good2 & ~(good1 & (np.abs(x1.imag) <= np.abs(x2.imag))), x2, x1)
-        y = self.S * np.arcsinh(x / self.S)
-        u = y
-        if self.b:
-            u = y.real + 0j
-            for _ in range(6):
-                yy, dy = self._y(u)
-                u = u - (yy - y) / dy
-        w, dw = self.at(u)
-        ok = (np.abs(x.imag) < 0.5 * math.pi) & (np.abs(w - z) < tol)
-        return u - (w - z) / dw, ok
+            tol = 1e-9 * (1.0 + np.abs(z))
+            good1 = np.abs(_gamma_points(self.omega, self.alpha, x1) - z) < tol
+            good2 = np.abs(_gamma_points(self.omega, self.alpha, x2) - z) < tol
+            x = np.where(good2 & ~(good1 & (np.abs(x1.imag) <= np.abs(x2.imag))), x2, x1)
+            y = self.S * np.arcsinh(x / self.S)
+            u = y
+            if self.b:
+                u = y.real + 0j
+                for _ in range(6):
+                    yy, dy = self._y(u)
+                    u = u - (yy - y) / dy
+            w, dw = self.at(u)
+            ok = (np.abs(x.imag) < 0.5 * math.pi) & (np.abs(w - z) < tol)
+            return u - (w - z) / dw, ok
 
 
 def default_b(p: ProblemParams) -> float:
@@ -403,78 +405,44 @@ def _check_pole_distance(p: ProblemParams, w: np.ndarray, k: float) -> None:
         )
 
 
-def sommerfeld_double_loop(
-    p: ProblemParams,
-    b: Optional[float] = None,
-    Wmax: Optional[float] = None,
-    n: int = 400,
-    rho_min: float = 0.25,
-    tol: Optional[float] = None,
-    rectilinear: bool = False,
-) -> ContourPolyline:
+def sommerfeld_double_loop(p: ProblemParams, rho_min: float = 0.25) -> ContourPolyline:
     """The double-loop contour C(omega) = C1 u C2.
 
     C2: along Gamma_{-5pi/2} from -Wmax to -b, up the vertical Re w = -b,
-    back along Gamma_{-pi/2} to -Wmax.  C1 is the pointwise image
-    -C2 - 3pi*i, i.e. the mirror loop at Re w >= b between the same two
-    curve levels, traversed so that both far tails decay.
-
-    With rectilinear=True the Gamma curves are replaced by the horizontal
-    lines of the omega=i geometry (the classical rectilinear Sommerfeld
-    contour); the integrand still uses the true omega.
+    back along Gamma_{-pi/2} to -Wmax, with b = default_b(p).  C1 is the
+    pointwise image -C2 - 3pi*i, i.e. the mirror loop at Re w >= b between
+    the same two curve levels, traversed so that both far tails decay.
     """
     validate_params(p)
-    if tol is None:
-        tol = p.tol.quad_rel
-    if b is None:
-        b = default_b(p)
-    bmin = max(
-        2.0 * abs(branch_point(p, p.k1).p1.real),
-        2.0 * abs(branch_point(p, p.k2).p1.real),
-    )
-    if b < bmin:
-        raise DomainError(f"b={b} violates b >= 2|Re p1| = {bmin}")
-    if Wmax is None:
-        Wmax = truncation_cutoff(p.omega, PI / 2.0, rho_min, tol * 1e-2)
-    Wmax = max(Wmax, b + 1.0)
+    tol = p.tol.quad_rel
+    b = default_b(p)
+    Wmax = max(truncation_cutoff(p.omega, PI / 2.0, rho_min, tol * 1e-2), b + 1.0)
     _certify_tail(p, Wmax, rho_min, tol)
 
-    geom_omega = 1j if rectilinear else p.omega
-    n_tail = max(12, n // 24)
-    n_vert = max(8, n // 48)
-
-    def build(n_tail=n_tail, n_vert=n_vert):
-        a_lo = -5.0 * PI / 2.0
-        a_hi = -PI / 2.0
-        y_lo = gamma_height(geom_omega, -b) + a_lo
-        y_hi = gamma_height(geom_omega, -b) + a_hi
+    def build(n_tail, n_vert):
+        a_lo, a_hi = -5.0 * PI / 2.0, -PI / 2.0
+        y_b = gamma_height(p.omega, -b)
         tail = _tail_breaks(-Wmax, -b, n_tail)
-        c2 = [
-            ("lower_left_tail", _gamma_piece(geom_omega, a_lo, tail)),
-            ("left_vertical", _vertical_piece(-b, y_lo, y_hi, n_vert)),
-            ("upper_left_tail", _gamma_piece(geom_omega, a_hi, tail[::-1])),
-        ]
-        w2, dw2, wt2, comps2 = _concat(c2)
+        w2, dw2, wt2, comps2 = _concat([
+            ("lower_left_tail", _gamma_piece(p.omega, a_lo, tail)),
+            ("left_vertical", _vertical_piece(-b, y_b + a_lo, y_b + a_hi, n_vert)),
+            ("upper_left_tail", _gamma_piece(p.omega, a_hi, tail[::-1])),
+        ])
         # C1 = -C2 - 3pi*i, same node order (tangents flip sign with the map).
-        w1c = -w2 - 3j * PI
-        dw1c = -dw2
         comps1 = [(f"mirror_{name}", slice(sl.start + w2.size, sl.stop + w2.size))
                   for name, sl in comps2]
-        w = np.concatenate([w2, w1c])
-        dw = np.concatenate([dw2, dw1c])
-        wt = np.concatenate([wt2, wt2])
-        return w, dw, wt, comps2 + comps1
+        return (np.concatenate([w2, -w2 - 3j * PI]), np.concatenate([dw2, -dw2]),
+                np.concatenate([wt2, wt2]), comps2 + comps1)
 
-    w, dw, wt, comps = build()
+    w, dw, wt, comps = build(16, 8)
     _check_pole_distance(p, w, p.k1)
     _check_pole_distance(p, w, p.k2)
-    label = "sommerfeld_rectilinear" if rectilinear else "sommerfeld"
 
     def refine():
-        wr, dwr, wtr, compr = build(n_tail * 2, n_vert * 2)
-        return ContourPolyline(wr, dwr, wtr, label + "_fine", compr)
+        wr, dwr, wtr, compr = build(32, 16)
+        return ContourPolyline(wr, dwr, wtr, "sommerfeld_fine", compr)
 
-    return ContourPolyline(w, dw, wt, label, comps, refiner=refine)
+    return ContourPolyline(w, dw, wt, "sommerfeld", comps, refiner=refine)
 
 
 def decomposition_contour(p: ProblemParams, rho_min: float = 0.25) -> ContourPolyline:
@@ -482,10 +450,10 @@ def decomposition_contour(p: ProblemParams, rho_min: float = 0.25) -> ContourPol
 
     Both lines carry the trapezoid nodes u0 + j*h of _Line, h = _Line.step,
     cut at Wmax; refined() halves h.  The moving kernel pole
-    -p1 + pi*i - i*theta crosses the upper line at x = -Re p1 when theta =
+    -p1 + pi*i - i*theta crosses the upper line at -p1 - pi*i/2 when theta =
     3pi/2.  u0 keeps that crossing, for k1 and for k2, at least h/8 in u
     from every node of both grids, and upper_grid hands (line, h, u0) to
-    the pole correction of u1_decomposed.
+    the pole correction of solver.u1_field.
     """
     validate_params(p)
     tol = p.tol.quad_rel
@@ -493,20 +461,10 @@ def decomposition_contour(p: ProblemParams, rho_min: float = 0.25) -> ContourPol
     _certify_tail(p, Wmax, rho_min, tol)
     upper = _Line(p.omega, -PI / 2.0)
     h = upper.step
-    # Preimages of the crossings x = -Re p1 in units of h/2: the sinh layer
-    # inverts in closed form, the tanh layer by Newton on the real axis.
-    # u0 is the residue mod h/2 farthest from both, at least h/8 from each.
-    a, b = upper.a, upper.b
-    t = []
-    for k in (p.k1, p.k2):
-        y = u = upper.S * math.asinh(-branch_point(p, k).p1.real / upper.S)
-        for _ in range(60 if b else 0):
-            th = math.tanh(u / (3.0 * a))
-            du = (u - b * th - y) / (1.0 - (1.0 - a) * (1.0 - th * th))
-            u -= du
-            if abs(du) <= 1e-15 * (1.0 + abs(u)):
-                break
-        t.append(u / (0.5 * h))
+    # Preimages of the crossings -p1 - pi*i/2 in units of h/2; u0 is the
+    # residue mod h/2 farthest from both, at least h/8 from each.
+    crossings = np.array([-branch_point(p, k).p1 - 0.5j * PI for k in (p.k1, p.k2)])
+    t = (upper.locate(crossings)[0].real / (0.5 * h)).tolist()
     d = (t[1] - t[0]) % 1.0
     u0 = 0.5 * h * ((t[0] + 0.5 * d + (0.0 if d > 0.5 else 0.5)) % 1.0)
 

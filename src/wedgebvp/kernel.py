@@ -116,12 +116,12 @@ def _lattice_distance(w: np.ndarray, anchors: Sequence[complex], period: complex
 
 def _guard(w: np.ndarray, anchors, period, clearance: float, what: str) -> None:
     d, nearest = _lattice_distance(w, anchors, period)
-    j = int(np.argmin(d))
-    if d[j] < clearance:
+    j = int(np.argmin(d))  # a flat index, whatever the shape of w
+    if d.flat[j] < clearance:
         raise PoleError(
-            f"{what} evaluated {d[j]:.3e} from pole {nearest[j]:.6g}",
-            nearest=complex(nearest[j]),
-            distance=float(d[j]),
+            f"{what} evaluated {d.flat[j]:.3e} from pole {nearest.flat[j]:.6g}",
+            nearest=complex(nearest.flat[j]),
+            distance=float(d.flat[j]),
         )
 
 

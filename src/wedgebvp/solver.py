@@ -5,24 +5,21 @@ The solution of the Dirichlet problem in the wedge is
     u1(rho, theta) = (1/(4*pi*sin Phi)) Int_C e^{-omega*rho*sinh w}
                      v1(w + i*theta) dw
 
-over the double-loop contour C = C(omega), with the kernel v1 built by the
-kernel module.  The second field u2 is the same integral at the reflected
-angle theta1 = -theta + 4*pi - Phi with the engine built for k2, and the
-total field is U = u1 + u2.
+with the kernel v1 built by the kernel module.  The second field u2 is the
+same integral at the reflected angle theta1 = -theta + 4*pi - Phi with the
+engine built for k2, and the total field is U = u1 + u2.
 
-For theta > 3*pi/2 the integral splits into a geometric plane wave
-
-    u_p(rho, theta) = e^{-omega*rho*sinh(p1 + i*theta)}
-
-plus a diffracted integral u_d over the two full curves Gamma_{-5pi/2}
-(left to right) and Gamma_{-pi/2} (right to left); the plane wave is the
-residue picked up when the double loop is opened up across the pole
--p1 + pi*i - i*theta, which crosses the upper curve exactly at
-theta = 3*pi/2.  On that ray the diffracted integral exists as a principal
-value and the one-sided limits differ by -+ u_p/2 (Sokhotski-Plemelj), so
-u1 itself stays continuous.  Both curves are trapezoid lines; what the sum
-misses of the moving pole, on either side of the upper line or as a
-principal value on it, is added in closed form (contour._missed_pole).
+u1_field integrates on either contour of the contour module (which lists
+their users) and checks the value by node doubling.  On the double loop C
+its vertical links' e^{rho*cosh b} cancellation caps rho.  The two Gamma
+lines of decomposition_contour have no links: opening C up onto them picks
+up the residue of the moving kernel pole -p1 + pi*i - i*theta, which
+crosses the upper line at theta = 3*pi/2, so u1 = u_d + share * u_p with
+the plane wave u_p = e^{-omega*rho*sinh(p1 + i*theta)}.  On the ray u_d is
+a principal value whose one-sided limits differ by -+ u_p/2
+(Sokhotski-Plemelj), so u1 stays continuous.  What the trapezoid sum misses
+of the pole, on either side of the upper line or on it, is added in closed
+form (contour._missed_pole).  u1_decomposed is the unchecked sum there.
 
 Truncation of every contour tail is certified through the bound
 |e^{-omega*rho*sinh w}| <= e^{-C*rho*cosh(Re w)} times the linear growth of
@@ -110,6 +107,28 @@ def _pole_distance(contour: ContourPolyline, engine: KernelEngine, theta: float)
     return dist
 
 
+def _pole_preimage(contour: ContourPolyline, engine: KernelEngine, theta: float) -> tuple:
+    """(w*, u*, side) of the moving pole w*, 3pi/2 - theta above the upper
+    line, cached; () if the kernel's near test (_Line.reach, _NEAR_STEPS) or
+    sheet test (side, the sign of Im u*; 0 on the ray) rejects it."""
+    key = ("pole_preimage", engine, round(float(theta), 15))
+    found = contour.cache.get(key)
+    if found is None:
+        found = ()
+        line, h, _ = contour.upper_grid
+        pole = _moving_pole(engine, theta)
+        offset = 1.5 * PI - theta
+        if (abs(pole.real) < contour.Wmax
+                and abs(offset) < line.reach(pole.real, _NEAR_STEPS * h)):
+            side = 0.0 if plane_share(theta) == 0.5 else math.copysign(1.0, offset)
+            u_s, ok = line.locate(np.array([pole]))
+            # A root on the wrong side of the real u axis lies on another sheet.
+            if ok[0] and side * u_s[0].imag > -1e-12:
+                found = (pole, complex(u_s[0]), side)
+        contour.cache[key] = found
+    return found
+
+
 def _certify_rho(engine: KernelEngine, contour: ContourPolyline, rho: float) -> None:
     Wmax = contour.Wmax
     bound = _tail_bound(engine.omega, engine.phi, Wmax, rho)
@@ -143,10 +162,22 @@ def u_plane(pt: PolarPoint, engine: KernelEngine) -> complex:
 
 
 def _integrate(engine: KernelEngine, contour: ContourPolyline, pt: PolarPoint) -> complex:
+    """u1 by the quadrature sum on one contour; on the Gamma lines plus the
+    missed part of the moving pole w* and plane_share(theta) * u_p."""
     kern = _kernel_on(contour, engine, pt.theta)
     expf = contour.exp_factor(engine.omega, pt.rho)
     total = contour.integrate(expf * kern)
-    return total / (4.0 * PI * math.sin(engine.phi))
+    scale = 4.0 * PI * math.sin(engine.phi)
+    if contour.upper_grid is None:
+        return total / scale
+    found = _pole_preimage(contour, engine, pt.theta)
+    if found:
+        (pole, u_s, side), (_, h, u0) = found, contour.upper_grid
+        res = cmath.exp(-engine.omega * pt.rho * cmath.sinh(pole)) * 2j * math.sin(engine.phi)
+        # The upper line runs right to left, against u.
+        total -= _missed_pole(res, u_s, u0, h, side)
+    share = plane_share(pt.theta)
+    return total / scale + share * u_plane(pt, engine) if share else total / scale
 
 
 def u1_field(
@@ -155,16 +186,19 @@ def u1_field(
     contour: ContourPolyline,
     check: bool = True,
 ) -> FieldSample:
-    """u1 over the double-loop contour, with error estimate by refinement."""
+    """u1 on the double loop or the two Gamma lines, with error estimate by
+    refinement.  On the double loop a moving pole within pole_clearance of a
+    node raises PoleError; on the lines _integrate corrects for it."""
     pt.require_in_wedge(engine.params)
     _certify_rho(engine, contour, pt.rho)
-    pole = _moving_pole(engine, pt.theta)
-    dist = _pole_distance(contour, engine, pt.theta)
-    if dist < engine.tol.pole_clearance:
-        raise PoleError(
-            f"moving pole {pole:.6g} within {dist:.3e} of contour",
-            nearest=pole, distance=dist,
-        )
+    if contour.upper_grid is None:
+        dist = _pole_distance(contour, engine, pt.theta)
+        if dist < engine.tol.pole_clearance:
+            pole = _moving_pole(engine, pt.theta)
+            raise PoleError(
+                f"moving pole {pole:.6g} within {dist:.3e} of contour",
+                nearest=pole, distance=dist,
+            )
     val = _integrate(engine, contour, pt)
     est = 0.0
     if check:
@@ -191,40 +225,13 @@ def u1_decomposed(
     dec_contour: ContourPolyline,
     pv: bool = False,
 ) -> FieldSample:
-    """Plane/diffracted decomposition: u_d plus u_p when theta > 3*pi/2.
-
-    u_d is the trapezoid sum over the two lines plus what it misses of the
-    moving pole w* = -p1 + pi*i - i*theta, which sits 3pi/2 - theta above
-    the upper line and has residue e^{-omega*rho*sinh w*} * 2i*sin(Phi).
-    At theta = 3*pi/2 the pole lies on the line; with pv=True the principal
-    value is taken and the half plane wave added, which reproduces the
-    (continuous) value of u1 on the ray.
-    """
-    pt.require_in_wedge(engine.params)
-    _certify_rho(engine, contour=dec_contour, rho=pt.rho)
-    share = plane_share(pt.theta)
-    if share == 0.5 and not pv:
-        raise RayError(
-            "theta = 3*pi/2 needs pv=True (or use u1_field on the full contour)"
-        )
-    val = _integrate(engine, dec_contour, pt)
-    line, h, u0 = dec_contour.upper_grid
-    pole = _moving_pole(engine, pt.theta)
-    offset = 1.5 * PI - pt.theta
-    if (abs(pole.real) < dec_contour.Wmax
-            and abs(offset) < line.reach(pole.real, _NEAR_STEPS * h)):
-        side = 0.0 if share == 0.5 else math.copysign(1.0, offset)
-        u_s, ok = line.locate(np.array([pole]))
-        # A root on the wrong side of the real u axis lies on another sheet.
-        if ok[0] and side * u_s[0].imag > -1e-12:
-            res = cmath.exp(-engine.omega * pt.rho * cmath.sinh(pole)) \
-                * 2j * math.sin(engine.phi)
-            # The upper line runs right to left, against u.
-            missed = _missed_pole(res, u_s[0], u0, h, side)
-            val -= missed / (4.0 * PI * math.sin(engine.phi))
-    if share:
-        val = val + share * u_plane(pt, engine)
-    return FieldSample(pt, val, "Decomposed", float("nan"))
+    """u1_field's unchecked coarse sum on the decomposition contour, u_d plus
+    the plane-wave share; on the ray u_d is a principal value, taken only
+    with pv=True."""
+    if plane_share(pt.theta) == 0.5 and not pv:
+        raise RayError("theta = 3*pi/2 needs pv=True (or use the checked u1_field)")
+    sample = u1_field(pt, engine, dec_contour, check=False)
+    return FieldSample(pt, sample.value, "Decomposed", float("nan"))
 
 
 def u2_field(

@@ -207,3 +207,25 @@ def test_decompose_command_bookkeeping(tmp_path):
     # On the crossing ray only half the plane wave contributes.
     assert np.count_nonzero(ray) == 1
     assert np.max(np.abs((ud + 0.5 * up)[ray] - u1[ray])) < 1e-4
+
+
+def test_field_command_keeps_every_point_at_a_second_wavenumber(tmp_path):
+    # omega = 0.5+i, Phi = 7pi/4, k2 = 2 over the whole wedge: on the double
+    # loop 4653 of these 10000 points failed their doubling check.
+    out = tmp_path / "field.csv"
+    cfgp = _write(
+        tmp_path, "f.cfg",
+        f"phi = {7 * math.pi / 4}\nomega_re = 0.5\nk2 = 2.0\n"
+        "rho_min = 0.3\nrho_max = 3.0\nn_rho = 100\n"
+        f"theta_min = {math.pi / 4}\ntheta_max = {2 * math.pi}\nn_theta = 100\n"
+        f"out_field = {out}\n",
+    )
+    assert main(["field", "--config", cfgp]) == 0
+    data = np.loadtxt(out, delimiter=",", skiprows=3, usecols=(0, 1, 2, 3, 6))
+    assert data.shape == (10000, 5)
+    assert np.all(data[:, 4] <= 1e-12)
+    u = data[:, 2] + 1j * data[:, 3]
+    lit, dark = data[:, 1] == 2 * math.pi, data[:, 1] == math.pi / 4
+    assert lit.sum() == dark.sum() == 100
+    assert np.max(np.abs(u[lit] - np.exp(-1j * data[lit, 0]))) <= 1e-12
+    assert np.max(np.abs(u[dark] - np.exp(-2j * data[dark, 0]))) <= 1e-12

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from wedgebvp.core import PI, TWO_PI, ProblemParams, branch_point
+from wedgebvp.core import PI, TWO_PI, ProblemParams
 from wedgebvp.contour import (
+    _certify_tail,
     decay_rate,
     decomposition_contour,
     gamma_point,
@@ -81,17 +82,10 @@ def test_double_loop_mirror_symmetry():
     assert np.max(np.abs(w1 - (-w2 - 3j * PI))) < 1e-14
 
 
-def test_double_loop_rejects_small_b():
-    p = ProblemParams(omega=1j, phi=1.5 * PI)
-    bmin = 2.0 * abs(branch_point(p, 1.0).p1.real)
-    with pytest.raises(DomainError):
-        sommerfeld_double_loop(p, b=0.9 * bmin)
-
-
 def test_double_loop_certifies_tail():
     p = ProblemParams(omega=1j, phi=1.5 * PI)
     with pytest.raises(GeometryError):
-        sommerfeld_double_loop(p, Wmax=1.8, rho_min=0.5, b=1.77)
+        _certify_tail(p, 1.8, 0.5, p.tol.quad_rel)
 
 
 def test_contour_components_present():

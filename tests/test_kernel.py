@@ -261,3 +261,16 @@ def test_build_engine_second_wavenumber():
     e2 = build_engine(p, k=p.k2)
     assert isinstance(e2, KernelEngine)
     assert abs(np.sinh(e2.branch.p1) - 1j * p.k2 / p.omega) < 1e-10
+
+
+@pytest.mark.parametrize("phi", [1.5 * PI, 7 * PI / 4])
+def test_two_dimensional_input_returns_the_reshaped_flat_values(phi):
+    # The pole guard took a flat argmin and indexed axis 0 with it, which
+    # raised a bare IndexError (or ValueError) on a 2-D array.
+    e = build_engine(ProblemParams(omega=0.5 + 1j, phi=phi))
+    rng = np.random.default_rng(7)
+    w = (rng.uniform(-2.0, 2.0, 12) + 1j * rng.uniform(-1.0, 1.0, 12)).reshape(3, 4)
+    for f in (e.g_hat, e.g2_hat, e.v11_hat, e.v1_hat):
+        got = f(w)
+        assert got.shape == (3, 4)
+        assert np.array_equal(got.ravel(), f(w.ravel()))

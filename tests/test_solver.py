@@ -20,7 +20,7 @@ from wedgebvp.contour import decomposition_contour, sommerfeld_double_loop
 from wedgebvp.errors import DomainError, GeometryError, PoleError, QuadratureError, RayError
 from wedgebvp import solver
 from wedgebvp.kernel import build_engine
-from wedgebvp.verify import check_decomposition
+from wedgebvp.verify import check_boundary, check_decomposition
 from wedgebvp.solver import (
     FieldSample,
     GridSpec,
@@ -425,3 +425,56 @@ def test_overflowing_sample_raises_instead_of_nan():
             u1_field(PolarPoint(300.0, 1.9 * PI), e, cont)
         with pytest.raises(QuadratureError):
             u1_field(PolarPoint(300.0, 1.9 * PI), e, cont, check=False)
+
+
+@pytest.mark.parametrize("p", [
+    *(ProblemParams(omega=omega, phi=phi)
+      for phi in (4 * PI / 3, 1.5 * PI, 7 * PI / 4) for omega in (1j, 0.5 + 1j)),
+    PARAMS,
+])
+def test_lines_give_boundary_values_far_out(p):
+    # The double loop's vertical links cap rho: there the checked field
+    # raised at 6 to 8 of these 12 wall points.
+    e1, e2 = build_engine(p, p.k1), build_engine(p, p.k2)
+    dec = decomposition_contour(p, rho_min=0.25)
+    for rho in (0.25, 1.0, 4.0, 8.0, 16.0, 30.0):
+        lit, dark = PolarPoint(rho, p.theta_max), PolarPoint(rho, p.theta_min)
+        assert abs(U_total(lit, e1, e2, dec).value - cmath.exp(-1j * p.k1 * rho)) <= 1e-12
+        assert abs(U_total(dark, e1, e2, dec).value - cmath.exp(-1j * p.k2 * rho)) <= 1e-12
+        assert abs(u1_field(lit, e1, dec).value - cmath.exp(-1j * p.k1 * rho)) <= 1e-12
+        assert abs(u1_field(dark, e1, dec).value) <= 1e-12
+
+
+def test_lines_field_is_continuous_on_the_ray(setup):
+    # On the lines the plane-wave share and the side of the pole correction
+    # switch at theta = 3pi/2; the checked field does not jump there.
+    e1, _, cont, dec = setup
+    rho = 1.5
+    ray = u1_field(PolarPoint(rho, 1.5 * PI), e1, dec)
+    full = u1_field(PolarPoint(rho, 1.5 * PI), e1, cont)
+    assert abs(ray.value - full.value) <= 2.0 * full.est_quad_error
+    # |du1/dtheta| is 0.117 here.
+    for d in (1e-9, 1e-6):
+        hi = u1_field(PolarPoint(rho, 1.5 * PI + d), e1, dec).value
+        lo = u1_field(PolarPoint(rho, 1.5 * PI - d), e1, dec).value
+        assert abs(hi - ray.value) <= 0.2 * d + 1e-12
+        assert abs(lo - ray.value) <= 0.2 * d + 1e-12
+    assert u1_decomposed(PolarPoint(rho, 1.5 * PI), e1, dec, pv=True).method == "Decomposed"
+
+
+def test_continuity_term_of_check_decomposition_measures_a_jump():
+    # |u1(3pi/2 + d) - u1(3pi/2 - d)| is about 2d*|du1/dtheta|: 8.5e-4 here.
+    p = ProblemParams(omega=1.0 + 0.3j, phi=7 * PI / 4)
+    res = check_decomposition(build_engine(p), sommerfeld_double_loop(p, rho_min=0.2),
+                              decomposition_contour(p, rho_min=0.2))
+    assert res.context["continuity_jump"] <= 1e-8, res
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_boundary_check_on_tilted_lines_warns_of_nothing():
+    # The kernel's near-pole path locates poles whose Newton may diverge;
+    # the overflow it meets is expected, and its root is rejected.
+    p = ProblemParams(omega=1.0 + 0.1j, phi=7 * PI / 4)
+    res = check_boundary(build_engine(p), build_engine(p, p.k2),
+                         decomposition_contour(p, rho_min=0.2))
+    assert res.passed, res

@@ -161,3 +161,16 @@ def test_asymptotics_checks_elementary_g2_tail():
         assert res.passed
         assert abs(res.context["g2_tail_plus"] - 2j) < 1e-9
         assert abs(res.context["g2_tail_minus"] + 2j) < 1e-9
+
+
+@pytest.mark.parametrize("params", [
+    ProblemParams(omega=1 + 0.3j, phi=1.5 * PI),
+    ProblemParams(omega=1 + 0.3j, phi=7 * PI / 4),
+    ProblemParams(omega=0.3 + 0.1j, phi=4 * PI / 3),
+    ProblemParams(omega=0.5 + 1j, phi=7 * PI / 4, k2=2.0),
+])
+def test_full_suite_passes_where_the_double_loop_failed(params):
+    # Each failed its boundary, helmholtz or contour_independence check on
+    # the double loop or the rectilinear loop.
+    report = run_full_suite(params)
+    assert report.overall, report.table()
