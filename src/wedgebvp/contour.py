@@ -104,11 +104,13 @@ class ContourPolyline:
     Besides the nodes a contour keeps what the field integrand needs of them:
 
     * Wmax, the largest |Re w| of a node, fixed at construction;
-    * sinh(w) on the nodes (sinh_w), computed on first use;
-    * the last exponential factor e^{-omega*rho*sinh w} that exp_factor
-      produced, in a one-entry slot keyed on (omega, rho);
-    * cache, the kernel samples and the moving-pole distance per
-      (engine, theta) that the solver fills.
+    * mirror, the partner mirror[j] of each node j of the first half: the
+      second half is the first moved by a period of sinh w (C1 = -C2 - 3pi*i,
+      Gamma_{-pi/2} = Gamma_{-5pi/2} + 2pi*i), so partners share sinh w to
+      rounding and e^{-omega*rho*sinh w} is taken on the first half only;
+    * sinh(w) on all nodes (sinh_w), computed on first use;
+    * cache, the kernel samples, the moving-pole distance and its preimage
+      per (engine, theta) that the solver fills.
 
     The refined contour keeps its own.  Each entry is written whole, so
     threads that race on a miss both compute the same bits.
@@ -120,6 +122,7 @@ class ContourPolyline:
         dw: np.ndarray,
         weight: np.ndarray,
         label: str,
+        mirror: np.ndarray,
         components: Sequence[Tuple[str, slice]] = (),
         refiner: Optional[Callable[[], "ContourPolyline"]] = None,
     ):
@@ -127,6 +130,7 @@ class ContourPolyline:
         self.dw = np.asarray(dw, dtype=complex)
         self.weight = np.asarray(weight, dtype=float)
         self.label = label
+        self.mirror = np.asarray(mirror, dtype=np.intp)
         self.components = tuple(components)
         self._refiner = refiner
         self._refined: Optional[ContourPolyline] = None
@@ -136,7 +140,6 @@ class ContourPolyline:
         # contour, for the moving-pole correction.
         self.upper_grid: Optional[Tuple["_Line", float, float]] = None
         self._sinh_w: Optional[np.ndarray] = None
-        self._exp_slot: Optional[Tuple[complex, float, np.ndarray]] = None
 
     def __len__(self) -> int:
         return self.w.size
@@ -150,19 +153,6 @@ class ContourPolyline:
         if s is None:
             s = self._sinh_w = np.sinh(self.w)
         return s
-
-    def exp_factor(self, omega: complex, rho: float) -> np.ndarray:
-        """e^{-omega*rho*sinh w} on the nodes; the last one made is kept.
-
-        The slot is one tuple, so a concurrent reader sees a key and a value
-        that belong together.
-        """
-        slot = self._exp_slot
-        if slot is not None and slot[0] == omega and slot[1] == rho:
-            return slot[2]
-        f = np.exp((-omega * rho) * self.sinh_w)
-        self._exp_slot = (omega, rho, f)
-        return f
 
     def refined(self) -> "ContourPolyline":
         if self._refiner is None:
@@ -305,7 +295,8 @@ class _Line:
         layer inverts in closed form, the tanh layer by Newton from the real
         axis.  A root is good when it reproduces z below the poles of tanh,
         |Im x*| < pi/2: off Re x = 0 the vertical path to it crosses no cut
-        of the arctan.  A last Newton step on the whole map polishes it.
+        of the arctan.  A last Newton step on the whole map polishes it, and
+        a root that failed the test before that step is judged after it.
         """
         # A Newton that diverges overflows; the mask below rejects its root.
         with np.errstate(all="ignore"):
@@ -330,7 +321,15 @@ class _Line:
                     u = u - (yy - y) / dy
             w, dw = self.at(u)
             ok = (np.abs(x.imag) < 0.5 * math.pi) & (np.abs(w - z) < tol)
-            return u - (w - z) / dw, ok
+            u = u - (w - z) / dw
+            # In the bend at small tilt the y layer's Newton converges slowly:
+            # test a rejected root again after the polish, and only those.
+            redo = np.flatnonzero(~ok)
+            if redo.size:
+                x = self.S * np.sinh(self._y(u[redo])[0] / self.S)
+                ok[redo] = ((np.abs(x.imag) < 0.5 * math.pi)
+                            & (np.abs(self._w(x)[0] - z[redo]) < tol[redo]))
+            return u, ok
 
 
 def default_b(p: ProblemParams) -> float:
@@ -363,10 +362,10 @@ def _concat(pieces):
 
 
 def _tail_bound(omega: complex, phi: float, Wmax: float, rho: float) -> float:
-    """Bound on the integrand beyond |Re w| = Wmax: the decay of the
-    exponential factor times the linear growth of the kernel."""
+    """Bound on the integrand beyond |Re w| = Wmax, at one rho or an array:
+    the decay of the exponential factor times the linear growth of the kernel."""
     kernel_growth = abs(math.sin(phi)) / phi * (Wmax + TWO_PI) + 3.0
-    return math.exp(-decay_rate(omega) * rho * math.cosh(Wmax)) * kernel_growth
+    return np.exp(-decay_rate(omega) * rho * math.cosh(Wmax)) * kernel_growth
 
 
 def _certify_tail(
@@ -419,7 +418,7 @@ def sommerfeld_double_loop(p: ProblemParams, rho_min: float = 0.25) -> ContourPo
     Wmax = max(truncation_cutoff(p.omega, PI / 2.0, rho_min, tol * 1e-2), b + 1.0)
     _certify_tail(p, Wmax, rho_min, tol)
 
-    def build(n_tail, n_vert):
+    def build(n_tail, n_vert, label, refiner=None):
         a_lo, a_hi = -5.0 * PI / 2.0, -PI / 2.0
         y_b = gamma_height(p.omega, -b)
         tail = _tail_breaks(-Wmax, -b, n_tail)
@@ -431,18 +430,15 @@ def sommerfeld_double_loop(p: ProblemParams, rho_min: float = 0.25) -> ContourPo
         # C1 = -C2 - 3pi*i, same node order (tangents flip sign with the map).
         comps1 = [(f"mirror_{name}", slice(sl.start + w2.size, sl.stop + w2.size))
                   for name, sl in comps2]
-        return (np.concatenate([w2, -w2 - 3j * PI]), np.concatenate([dw2, -dw2]),
-                np.concatenate([wt2, wt2]), comps2 + comps1)
+        return ContourPolyline(
+            np.concatenate([w2, -w2 - 3j * PI]), np.concatenate([dw2, -dw2]),
+            np.concatenate([wt2, wt2]), label, np.arange(w2.size, 2 * w2.size),
+            comps2 + comps1, refiner=refiner)
 
-    w, dw, wt, comps = build(16, 8)
-    _check_pole_distance(p, w, p.k1)
-    _check_pole_distance(p, w, p.k2)
-
-    def refine():
-        wr, dwr, wtr, compr = build(32, 16)
-        return ContourPolyline(wr, dwr, wtr, "sommerfeld_fine", compr)
-
-    return ContourPolyline(w, dw, wt, "sommerfeld", comps, refiner=refine)
+    cont = build(16, 8, "sommerfeld", lambda: build(32, 16, "sommerfeld_fine"))
+    _check_pole_distance(p, cont.w, p.k1)
+    _check_pole_distance(p, cont.w, p.k2)
+    return cont
 
 
 def decomposition_contour(p: ProblemParams, rho_min: float = 0.25) -> ContourPolyline:
@@ -476,7 +472,8 @@ def decomposition_contour(p: ProblemParams, rho_min: float = 0.25) -> ContourPol
             ("lower_line", (w - 2j * PI, dw, ones)),
             ("upper_line", (w[::-1], -dw[::-1], ones)),
         ])
-        cont = ContourPolyline(w, dw, wt, label, comps, refiner=refiner)
+        cont = ContourPolyline(w, dw, wt, label, np.arange(w.size - 1, w.size // 2 - 1, -1),
+                               comps, refiner=refiner)
         cont.upper_grid = (upper, step, u0)
         return cont
 

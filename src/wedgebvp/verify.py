@@ -290,12 +290,15 @@ def check_helmholtz(
     prefac = 1.0 / (4.0 * PI * math.sin(engine.phi))
     fine = contour.refined()
     worst = 0.0
+    sweeps: dict = {}
     for pt in points:
         rho, th = pt.rho, pt.theta
         ht = h / rho
-        if solver._pole_distance(fine, engine, th) < 2.0 * ht:
+        if np.min(np.abs(fine.w - solver._moving_pole(engine, th))) < 2.0 * ht:
             continue  # deformation corridor too narrow at this point
-        kern = solver._kernel_on(fine, engine, th)
+        if th not in sweeps:
+            sweeps[th] = engine.v1_hat(fine.w + 1j * th)
+        kern = sweeps[th]
 
         def u(rr, delta=0.0):
             # w - 0j is w itself, so the unshifted values use the cached sinh.

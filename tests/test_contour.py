@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from wedgebvp.core import PI, TWO_PI, ProblemParams
+from wedgebvp.core import PI, TWO_PI, ProblemParams, branch_point
 from wedgebvp.contour import (
+    _Line,
     _certify_tail,
     decay_rate,
     decomposition_contour,
@@ -137,3 +138,32 @@ def test_decomposition_matches_residue_of_rational_function():
     )
     assert abs(cont.integrate(g(cont.w)) - expected) < 1e-9 * abs(expected)
 
+
+
+def test_locate_judges_the_polished_root():
+    # At small tilt the tanh layer's Newton converges slowly in the bend, and
+    # the root was judged before its polish: at Phi = 7pi/4 about one ray
+    # crossing -p1 - pi*i/2 in nine came back flagged bad though its polished
+    # root reproduced the point.  A root is good exactly when the returned
+    # (polished) u maps back onto z and its abscissa stays on the sheet.
+    rng = np.random.default_rng(20261020)
+    flagged = 0
+    for _ in range(600):
+        om = complex(rng.uniform(0.2, 5.0), rng.uniform(0.01, 0.05))
+        p = ProblemParams(omega=om, phi=7 * PI / 4, k1=float(rng.uniform(0.5, 3.0)),
+                          k2=float(rng.uniform(0.5, 3.0)))
+        line = _Line(om, -PI / 2)
+        crossings = [-branch_point(p, k).p1 - 0.5j * PI for k in (p.k1, p.k2)]
+        # Points off the line too, some of them on other sheets.
+        x0 = rng.uniform(-6.0, 6.0, 4)
+        off = line._w(x0)[0] + 1j * rng.uniform(-2.5, 2.5, 4) + rng.uniform(-0.3, 0.3, 4)
+        z = np.concatenate([crossings, off])
+        with np.errstate(all="ignore"):
+            u, ok = line.locate(z)
+            x = line.S * np.sinh(line._y(u)[0] / line.S)
+            back = np.abs(line._w(x)[0] - z) < 1e-9 * (1 + np.abs(z))
+            good = (np.abs(x.imag) < 0.5 * PI) & back
+        assert np.array_equal(ok, good)
+        assert ok[:2].all()
+        flagged += int(ok[2:].sum())
+    assert 0 < flagged < 4 * 600

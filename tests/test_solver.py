@@ -15,11 +15,13 @@ import sys
 import numpy as np
 import pytest
 
-from wedgebvp.core import PI, PolarPoint, ProblemParams, Tolerances
-from wedgebvp.contour import decomposition_contour, sommerfeld_double_loop
-from wedgebvp.errors import DomainError, GeometryError, PoleError, QuadratureError, RayError
+from wedgebvp.core import PI, PolarPoint, ProblemParams, Tolerances, gamma_height
+from wedgebvp.contour import decomposition_contour, default_b, sommerfeld_double_loop
+from wedgebvp.errors import (
+    DomainError, GeometryError, PoleError, QuadratureError, RayError, WedgeError,
+)
 from wedgebvp import solver
-from wedgebvp.kernel import build_engine
+from wedgebvp.kernel import KernelEngine, build_engine
 from wedgebvp.verify import check_boundary, check_decomposition
 from wedgebvp.solver import (
     FieldSample,
@@ -234,16 +236,17 @@ def test_grid_eval_total_field_and_errors(setup):
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_grid_eval_propagates_non_wedge_errors(setup, monkeypatch, threads):
     # Only WedgeError becomes an error sample; a bug elsewhere must surface.
-    e1, _, cont, _ = setup
+    # A fresh contour has no kernel samples cached, so every column sweeps.
+    e1 = setup[0]
 
     def broken(*args, **kwargs):
         raise ValueError("not a numerical failure")
 
-    monkeypatch.setattr(solver, "u1_field", broken)
+    monkeypatch.setattr(KernelEngine, "v1_hat", broken)
     monkeypatch.setenv("WEDGE_THREADS", threads)
     spec = GridSpec(0.5, 1.0, 2, 1.6 * PI, 1.9 * PI, 3)
     with pytest.raises(ValueError):
-        grid_eval(spec, e1, cont, check=False)
+        grid_eval(spec, e1, sommerfeld_double_loop(PARAMS, rho_min=0.25), check=False)
 
 
 def test_kernel_cache_never_serves_a_freed_engine():
@@ -254,8 +257,9 @@ def test_kernel_cache_never_serves_a_freed_engine():
     theta = 1.8 * PI
     for k in np.linspace(0.5, 2.0, 20):
         engine = build_engine(p, k=float(k))
-        got = solver._kernel_on(cont, engine, theta)
-        assert np.array_equal(got, engine.v1_hat(cont.w + 1j * theta))
+        got, _ = solver._column(cont, engine, theta)
+        f = engine.v1_hat(cont.w + 1j * theta) * cont.dw * cont.weight
+        assert np.array_equal(got, f[:cont.mirror.size] + f[cont.mirror])
         del engine
 
 
@@ -302,10 +306,10 @@ def _bits(samples):
 
 @pytest.mark.parametrize("threads", ["2", "4"])
 def test_grid_eval_threads_share_the_exponential_factor(setup, monkeypatch, threads):
-    # Threaded rows race on each contour's sinh(w) and exponential slot
-    # (u1 and u2, coarse and refined); every value and estimate must still
-    # be the serial run's bits.  A short switch interval makes the threads
-    # interleave inside the slot's lookups.
+    # Threaded kernel sweeps and blocks of radii race on each contour's
+    # sinh(w), its column cache and the refined contour; every value and
+    # estimate must still be the serial run's bits.  A short switch interval
+    # makes the threads interleave inside the cache lookups.
     e1, e2, _, _ = setup
     spec = GridSpec(0.3, 1.2, 4, PARAMS.theta_min, PARAMS.theta_max, 6)
     serial = grid_eval(spec, e1, sommerfeld_double_loop(PARAMS, rho_min=0.25),
@@ -350,21 +354,24 @@ def test_exponential_factor_is_keyed_on_omega_and_rho():
 
 
 def test_checked_row_makes_one_exponential_per_contour_and_rho(monkeypatch):
-    # u1 and u2 share e^{-omega*rho*sinh w}: a checked row of n radii makes
-    # it once on the coarse and once on the refined contour per radius, 2n
-    # in all (4n when each field made its own).
+    # u1 and u2 share e^{-omega*rho*sinh w}, and mirrored nodes share its
+    # value: a checked row of n radii makes it on half of the coarse and
+    # half of the refined contour per radius, n*(N + N_fine)/2 elements in
+    # all (twice as many with one per node, four times with one per field).
     p = ProblemParams(omega=0.5 + 1j, phi=1.5 * PI, k1=1.0, k2=0.5)
     e1, e2 = build_engine(p, k=p.k1), build_engine(p, k=p.k2)
     cont = sommerfeld_double_loop(p, rho_min=0.25)
     theta = 1.7 * PI
     # Fill the kernel cache first, so that only the field's own work counts.
     grid_eval(GridSpec(2.0, 2.0, 1, theta, theta, 1), e1, cont, engine2=e2)
-    sizes = {len(cont), len(cont.refined())}
+    halves = {len(cont) // 2, len(cont.refined()) // 2}
     counted = []
     real_exp = np.exp
 
     def counting_exp(x, *args, **kwargs):
-        if np.size(x) in sizes:
+        # The factor's blocks are (radii, nodes); other exponentials in the
+        # field (tail bound, plane wave) run over radii only.
+        if np.ndim(x) == 2 and np.shape(x)[1] in halves:
             counted.append(np.size(x))
         return real_exp(x, *args, **kwargs)
 
@@ -372,7 +379,7 @@ def test_checked_row_makes_one_exponential_per_contour_and_rho(monkeypatch):
     n = 5
     samples = grid_eval(GridSpec(0.3, 1.5, n, theta, theta, 1), e1, cont, engine2=e2)
     assert all(s.method == "FullContour" for s in samples)
-    assert len(counted) == 2 * n
+    assert sum(counted) == n * (len(cont) + len(cont.refined())) // 2
 
 
 def test_field_csv_roundtrip(tmp_path, setup):
@@ -478,3 +485,107 @@ def test_boundary_check_on_tilted_lines_warns_of_nothing():
     res = check_boundary(build_engine(p), build_engine(p, p.k2),
                          decomposition_contour(p, rho_min=0.2))
     assert res.passed, res
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("check", [True, False])
+@pytest.mark.parametrize("on_lines", [False, True])
+def test_grid_values_are_the_point_values_bit_for_bit(setup, monkeypatch, on_lines, check, threads):
+    # The grid takes e^{-omega*rho*sinh w} in blocks of radii and one row sum
+    # per (rho, column); a point is a one-row block.  Row sums do not depend
+    # on the block's shape, so every value, estimate and error message of the
+    # grid is the one U_total or u1_field gives at that point.
+    e1, e2, cont, dec = setup
+    c = dec if on_lines else cont
+    n_theta = 3
+    per_block = solver._BLOCK // c.mirror.size  # radii per block on the coarse contour
+    spec = GridSpec(0.3, 1.0, 2 * per_block + 1, PARAMS.theta_min, PARAMS.theta_max, n_theta)
+    monkeypatch.setenv("WEDGE_THREADS", threads)
+    for engines, point in (((e1, e2), U_total), ((e1,), u1_field)):
+        samples = grid_eval(spec, e1, c, engine2=engines[1] if len(engines) > 1 else None,
+                            check=check)
+        assert len(samples) == spec.n_rho * n_theta
+        for s in samples:
+            try:
+                want = point(s.point, *engines, c, check=check)
+            except QuadratureError as exc:
+                assert (s.method, s.message) == ("error:QuadratureError", str(exc))
+                continue
+            assert s.method == "FullContour"
+            assert s.value == want.value and s.est_quad_error == want.est_quad_error
+
+
+@pytest.mark.parametrize("phi", [4 * PI / 3, 1.5 * PI, 7 * PI / 4])
+def test_folded_sum_matches_the_sum_over_all_nodes(phi):
+    # Folding v1*dw*weight onto the first half of the nodes uses the mirror
+    # node's sinh w for its partner; the sums agree to rounding.
+    p = ProblemParams(omega=0.5 + 1j, phi=phi, k1=1.0, k2=0.5)
+    e = build_engine(p)
+    rhos = np.linspace(0.25, 3.0, 40)
+    scale = 4.0 * PI * math.sin(phi)
+    for base in (sommerfeld_double_loop(p, rho_min=0.25), decomposition_contour(p, rho_min=0.25)):
+        for c in (base, base.refined()):
+            used = 0
+            for theta in np.linspace(p.theta_min, p.theta_max, 7):
+                col = solver._column(c, e, float(theta))
+                if c.upper_grid and (col[1] or solver.plane_share(theta)):
+                    continue  # a pole or plane-wave term on top of the sum
+                got = solver._sums(c, [(e, float(theta))], [col], rhos, map)[0] * scale
+                kern = e.v1_hat(c.w + 1j * theta)
+                for rho, g in zip(rhos, got):
+                    terms = np.exp(-e.omega * rho * c.sinh_w) * kern * c.dw * c.weight
+                    want = c.integrate(np.exp(-e.omega * rho * c.sinh_w) * kern)
+                    assert abs(g - want) <= 1e-14 * np.sum(np.abs(terms))
+                used += 1
+            assert used >= 2, c.label
+
+
+# The benchmark's fixed fault points (perfbench/workloads.py, FAULT_SETS):
+# (omega, Phi, k1, k2, [(rho, theta)]) on the double loop with rho_min 0.05.
+FAULT_SETS = (
+    (1.0j, 7.0 * PI / 4.0, 3.0, 3.0, ((1.0, 5.0), (1.0, 2.0 * PI))),
+    (0.5 + 1.0j, 4.0 * PI / 3.0, 2.5, 1.0, ((3.0, 4.0), (3.0, 2.0 * PI - 4.0 * PI / 3.0))),
+)
+
+
+def test_fault_points_fail_with_a_typed_error():
+    for omega, phi, k1, k2, points in FAULT_SETS:
+        p = ProblemParams(omega=omega, phi=phi, k1=k1, k2=k2)
+        e1, e2 = build_engine(p, p.k1), build_engine(p, p.k2)
+        loop = sommerfeld_double_loop(p, rho_min=0.05)
+        for rho, theta in points:
+            with np.errstate(all="ignore"), pytest.raises(QuadratureError) as exc:
+                U_total(PolarPoint(rho, theta), e1, e2, loop)
+            spec = GridSpec(rho, rho, 1, theta, theta, 1)
+            with np.errstate(all="ignore"):
+                (s,) = grid_eval(spec, e1, loop, engine2=e2)
+            assert (s.method, s.message) == ("error:QuadratureError", str(exc.value))
+
+
+def test_points_domain_box_raises_nothing_but_wedge_errors():
+    # The benchmark's points_domain box: Phi in [1.05pi, 1.95pi] without
+    # (1.49pi, 1.51pi), Re omega in [0, 1], Im omega in [0.5, 1.5], k in
+    # [0.5, 3], rho*g <= 4 with g the gain of the double loop's links.  An
+    # error other than a WedgeError would stop the benchmark.
+    rng = np.random.default_rng(20261020)
+    for _ in range(100):
+        phi = rng.uniform(1.05 * PI, 1.93 * PI)
+        if phi >= 1.49 * PI:
+            phi += 0.02 * PI
+        k1, k2 = rng.uniform(0.5, 3.0, 2)
+        p = ProblemParams(omega=complex(rng.uniform(0.0, 1.0), rng.uniform(0.5, 1.5)),
+                          phi=float(phi), k1=float(k1), k2=float(k2))
+        b = default_b(p)
+        link = b + 1j * (gamma_height(p.omega, b) + np.linspace(-2.5 * PI, -0.5 * PI, 401))
+        gain = float(np.max((-p.omega * np.sinh(link)).real))
+        e1, e2 = build_engine(p, p.k1), build_engine(p, p.k2)
+        loop = sommerfeld_double_loop(p, rho_min=0.05)
+        dec = decomposition_contour(p, rho_min=0.05)
+        for _ in range(2):
+            rho = math.exp(rng.uniform(math.log(0.05), math.log(min(4.0, 4.0 / gain))))
+            pt = PolarPoint(rho, float(rng.uniform(p.theta_min, p.theta_max)))
+            for c in (loop, dec):
+                try:
+                    U_total(pt, e1, e2, c)
+                except WedgeError:
+                    pass
