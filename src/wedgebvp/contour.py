@@ -107,10 +107,12 @@ class ContourPolyline:
     * mirror, the partner mirror[j] of each node j of the first half: the
       second half is the first moved by a period of sinh w (C1 = -C2 - 3pi*i,
       Gamma_{-pi/2} = Gamma_{-5pi/2} + 2pi*i), so partners share sinh w to
-      rounding and e^{-omega*rho*sinh w} is taken on the first half only;
+      rounding;
     * sinh(w) on all nodes (sinh_w), computed on first use;
-    * cache, the kernel samples, the moving-pole distance and its preimage
-      per (engine, theta) that the solver fills.
+    * the last exponential factor e^{-omega*rho*sinh w} that exp_factor
+      produced on the first half, in a one-entry slot keyed on (omega, rho);
+    * cache, the folded kernel columns, the moving-pole distance and its
+      preimage per (engine, theta) that the solver fills.
 
     The refined contour keeps its own.  Each entry is written whole, so
     threads that race on a miss both compute the same bits.
@@ -140,6 +142,7 @@ class ContourPolyline:
         # contour, for the moving-pole correction.
         self.upper_grid: Optional[Tuple["_Line", float, float]] = None
         self._sinh_w: Optional[np.ndarray] = None
+        self._exp_slot: Optional[Tuple[complex, float, np.ndarray]] = None
 
     def __len__(self) -> int:
         return self.w.size
@@ -153,6 +156,20 @@ class ContourPolyline:
         if s is None:
             s = self._sinh_w = np.sinh(self.w)
         return s
+
+    def exp_factor(self, omega: complex, rho: float) -> np.ndarray:
+        """e^{-omega*rho*sinh w} on the first half of the nodes, whose
+        partners share it; the last one made is kept.
+
+        The slot is one tuple, so a concurrent reader sees a key and a value
+        that belong together.
+        """
+        slot = self._exp_slot
+        if slot is not None and slot[0] == omega and slot[1] == rho:
+            return slot[2]
+        f = np.exp((-omega * rho) * self.sinh_w[:self.mirror.size])
+        self._exp_slot = (omega, rho, f)
+        return f
 
     def refined(self) -> "ContourPolyline":
         if self._refiner is None:
@@ -362,10 +379,10 @@ def _concat(pieces):
 
 
 def _tail_bound(omega: complex, phi: float, Wmax: float, rho: float) -> float:
-    """Bound on the integrand beyond |Re w| = Wmax, at one rho or an array:
-    the decay of the exponential factor times the linear growth of the kernel."""
+    """Bound on the integrand beyond |Re w| = Wmax: the decay of the
+    exponential factor times the linear growth of the kernel."""
     kernel_growth = abs(math.sin(phi)) / phi * (Wmax + TWO_PI) + 3.0
-    return np.exp(-decay_rate(omega) * rho * math.cosh(Wmax)) * kernel_growth
+    return math.exp(-decay_rate(omega) * rho * math.cosh(Wmax)) * kernel_growth
 
 
 def _certify_tail(

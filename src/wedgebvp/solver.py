@@ -26,13 +26,13 @@ Truncation of every contour tail is certified through the bound
 the kernel, never assumed.
 
 On a fixed contour the factor e^{-omega*rho*sinh w} depends on omega and rho
-only, the kernel on (engine, theta) only.  _solve folds each (engine, theta)
-column's v1*dw*weight onto the first half of the nodes, whose partners
-(ContourPolyline.mirror) share sinh w, builds the factor there once per block
-of radii for every column of one omega, and takes one row sum per (rho,
-column).  A row sum has the same bits in any block (a BLAS product would
-not), so grid_eval, one _solve per grid, gives the bits of u1_field and
-U_total, which are one-point calls.
+only, the kernel on (engine, theta) only.  The second half of each contour
+is the first moved by a period of sinh w (ContourPolyline.mirror), so
+_column folds each (engine, theta) column's v1*dw*weight onto the first
+half, once per contour, and the factor is taken on that half only: the
+contour's exp_factor slot keeps the last one, which u1 and u2 of one point
+share.  A value is one dot product over the half.  grid_eval evaluates
+u1_field or U_total at each of its points.
 """
 
 from __future__ import annotations
@@ -50,10 +50,6 @@ from .contour import ContourPolyline, _missed_pole, _tail_bound, sommerfeld_doub
 from .core import PI, TWO_PI, PolarPoint, ProblemParams, theta_reflect
 from .errors import DomainError, GeometryError, PoleError, QuadratureError, RayError, FitError, WedgeError
 from .kernel import _NEAR_STEPS, KernelEngine
-
-# Elements of e^{-omega*rho*sinh w} per block of radii: each block of every
-# column is one (radii, nodes) product of at most this many.
-_BLOCK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -84,20 +80,67 @@ class GridSpec:
         return np.linspace(self.theta_min, self.theta_max, self.n_theta)
 
 
+def _column(contour: ContourPolyline, engine: KernelEngine, theta: float) -> np.ndarray:
+    """v1 on the theta-shifted nodes times dw*weight, folded onto the first
+    half of the nodes (ContourPolyline.mirror), cached per (engine, theta).
+
+    The key holds the engine itself, not its id(): an id can be reused by a
+    later engine once this one is freed.  The cache thus keeps each engine
+    alive for as long as the contour.
+    """
+    key = (engine, round(float(theta), 15))
+    col = contour.cache.get(key)
+    if col is None:
+        f = engine.v1_hat(contour.w + 1j * theta) * contour.dw * contour.weight
+        col = contour.cache[key] = f[:contour.mirror.size] + f[contour.mirror]
+    return col
+
+
+def _pole_distance(contour: ContourPolyline, engine: KernelEngine, theta: float) -> float:
+    """Distance from the contour to the moving pole, cached beside the kernel.
+
+    It depends on (engine, theta) only, so the field at every rho of a
+    theta row reuses it.
+    """
+    key = ("pole_distance", engine, round(float(theta), 15))
+    dist = contour.cache.get(key)
+    if dist is None:
+        dist = float(np.min(np.abs(contour.w - _moving_pole(engine, theta))))
+        contour.cache[key] = dist
+    return dist
+
+
 def _pole_preimage(contour: ContourPolyline, engine: KernelEngine, theta: float) -> tuple:
     """(w*, u*, side) of the moving pole w*, 3pi/2 - theta above the upper
-    line; () if the kernel's near test (_Line.reach, _NEAR_STEPS) or sheet
-    test (side, the sign of Im u*; 0 on the ray) rejects it."""
-    line, h, _ = contour.upper_grid
-    pole = _moving_pole(engine, theta)
-    offset = 1.5 * PI - theta
-    if abs(pole.real) < contour.Wmax and abs(offset) < line.reach(pole.real, _NEAR_STEPS * h):
-        side = 0.0 if plane_share(theta) == 0.5 else math.copysign(1.0, offset)
-        u_s, ok = line.locate(np.array([pole]))
-        # A root on the wrong side of the real u axis lies on another sheet.
-        if ok[0] and side * u_s[0].imag > -1e-12:
-            return (pole, complex(u_s[0]), side)
-    return ()
+    line, cached; () if the kernel's near test (_Line.reach, _NEAR_STEPS) or
+    sheet test (side, the sign of Im u*; 0 on the ray) rejects it."""
+    key = ("pole_preimage", engine, round(float(theta), 15))
+    found = contour.cache.get(key)
+    if found is None:
+        found = ()
+        line, h, _ = contour.upper_grid
+        pole = _moving_pole(engine, theta)
+        offset = 1.5 * PI - theta
+        if (abs(pole.real) < contour.Wmax
+                and abs(offset) < line.reach(pole.real, _NEAR_STEPS * h)):
+            side = 0.0 if plane_share(theta) == 0.5 else math.copysign(1.0, offset)
+            u_s, ok = line.locate(np.array([pole]))
+            # A root on the wrong side of the real u axis lies on another sheet.
+            if ok[0] and side * u_s[0].imag > -1e-12:
+                found = (pole, complex(u_s[0]), side)
+        contour.cache[key] = found
+    return found
+
+
+def _certify_rho(engine: KernelEngine, contour: ContourPolyline, rho: float) -> None:
+    Wmax = contour.Wmax
+    bound = _tail_bound(engine.omega, engine.phi, Wmax, rho)
+    if bound > 100.0 * engine.tol.quad_rel:
+        raise GeometryError(
+            f"contour {contour.label!r} truncated at Wmax={Wmax:.3f} does not "
+            f"certify rho={rho:g} (tail bound {bound:.3e}); rebuild with a "
+            "smaller rho_min"
+        )
 
 
 def _moving_pole(engine: KernelEngine, theta: float) -> complex:
@@ -121,142 +164,21 @@ def u_plane(pt: PolarPoint, engine: KernelEngine) -> complex:
     return cmath.exp(-engine.omega * pt.rho * cmath.sinh(engine.branch.p1 + 1j * pt.theta))
 
 
-def _tail_errors(engine: KernelEngine, contour: ContourPolyline, rhos: np.ndarray) -> list:
-    """Per radius, the GeometryError of a tail the contour does not certify, else None."""
-    bound = _tail_bound(engine.omega, engine.phi, contour.Wmax, rhos)
-    return [
-        GeometryError(f"contour {contour.label!r} truncated at Wmax={contour.Wmax:.3f} does not "
-                      f"certify rho={rho:g} (tail bound {b:.3e}); rebuild with a smaller rho_min")
-        if b > 100.0 * engine.tol.quad_rel else None for rho, b in zip(rhos, bound)
-    ]
-
-
-def _column(contour: ContourPolyline, engine: KernelEngine, theta: float) -> tuple:
-    """One (engine, theta) column on one contour, cached: v1 on the shifted
-    nodes times dw*weight, folded onto the first half, and on the lines
-    _pole_preimage.  The key holds the engine itself, not its id(), which a
-    later engine may reuse; so the cache keeps each engine alive.
-    """
-    key = (engine, round(float(theta), 15))
-    col = contour.cache.get(key)
-    if col is None:
-        f = engine.v1_hat(contour.w + 1j * theta) * contour.dw * contour.weight
-        found = _pole_preimage(contour, engine, theta) if contour.upper_grid else ()
-        col = contour.cache[key] = (f[:contour.mirror.size] + f[contour.mirror], found)
-    return col
-
-
-def _sums(contour: ContourPolyline, cols: list, data: list, rhos: np.ndarray, mapper) -> np.ndarray:
-    """u1 on one contour at every (column, rho), from the columns' _column
-    data: the sum, and on the lines the missed part of the moving pole and
-    plane_share(theta) * u_p."""
-    s = contour.sinh_w[:contour.mirror.size]
-    rows = max(1, _BLOCK // s.size)
-
-    def block(lo):
-        out = np.empty((len(cols), rhos[lo:lo + rows].size), dtype=complex)
-        E: dict = {}
-        for c, ((engine, _), (K, _)) in enumerate(zip(cols, data)):
-            if engine.omega not in E:
-                x = (-engine.omega * rhos[lo:lo + rows])[:, None] * s
-                E[engine.omega] = np.exp(x, out=x)
-            out[c] = (E[engine.omega] * K).sum(-1)
-        return out
-
-    S = np.concatenate(list(mapper(block, range(0, rhos.size, rows))), axis=1)
-    for total, (engine, theta), (_, found) in zip(S, cols, data):
-        scale = -engine.omega * rhos
-        if found:
-            (pole, u_s, side), (_, h, u0) = found, contour.upper_grid
-            res = np.exp(scale * cmath.sinh(pole)) * (2j * math.sin(engine.phi))
-            # The upper line runs right to left, against u.
-            total -= _missed_pole(res, u_s, u0, h, side)
-        total /= 4.0 * PI * math.sin(engine.phi)
-        share = plane_share(theta) if contour.upper_grid else 0.0
-        if share:
-            total += share * np.exp(scale * cmath.sinh(engine.branch.p1 + 1j * theta))
-    return S
-
-
-def _solve(contour: ContourPolyline, fields: tuple, thetas: Sequence[float],
-           rhos: Sequence[float], check: bool, mapper=map) -> tuple:
-    """u1 or U at every (theta, rho): values, estimates and the WedgeError of
-    each point (or None), as (n_theta, n_rho) arrays.
-
-    fields holds (engine1, False) for u1 and (engine2, True) for u2, the u1
-    integral at theta_reflect(theta).  Per field a point runs the wedge test,
-    tail certificate, pole guard (double loop), kernel sweeps, node doubling
-    (with check) and finiteness test, and keeps the first failure of its
-    first failing field.  Kernel sweeps and blocks of radii go through mapper.
-    """
-    rhos = np.asarray(rhos, dtype=float)
-    err = np.full((len(fields), len(thetas), rhos.size), None, dtype=object)
-    cols = []
-    for f, (engine, reflected) in enumerate(fields):
-        tails = _tail_errors(engine, contour, rhos)
-        for j, theta in enumerate(thetas):
-            try:
-                th = theta_reflect(theta, engine.phi) if reflected else theta
-                PolarPoint(1.0, th).require_in_wedge(engine.params)  # theta only
-            except WedgeError as exc:
-                err[f, j] = exc
-                continue
-            err[f, j] = tails
-            if None in tails:
-                cols.append((f, j, engine, th))
-
-    def prepare(col):
-        _, _, engine, theta = col
-        try:
-            if contour.upper_grid is None:
-                pole = _moving_pole(engine, theta)
-                dist = float(np.min(np.abs(contour.w - pole)))
-                if dist < engine.tol.pole_clearance:
-                    raise PoleError(f"moving pole {pole:.6g} within {dist:.3e} of contour",
-                                    nearest=pole, distance=dist)
-            data = [_column(contour, engine, theta)]
-            if check:
-                data.append(_column(contour.refined(), engine, theta))
-        except WedgeError as exc:
-            return exc
-        return data
-
-    value = np.full(err.shape, complex("nan"))
-    est = np.zeros(err.shape)
-    good = []
-    for col, got in zip(cols, mapper(prepare, cols)):
-        if isinstance(got, WedgeError):
-            row = err[col[:2]]
-            row[[e is None for e in row]] = got
-        else:
-            good.append((col, got))
-    if good:
-        fs, js, engines, ths = zip(*(col for col, _ in good))
-        levels = [contour, contour.refined()] if check else [contour]
-        sums = [_sums(lvl, list(zip(engines, ths)), [got[n] for _, got in good], rhos, mapper)
-                for n, lvl in enumerate(levels)]
-        coarse, fine = sums[0], sums[-1]
-        value[fs, js] = fine
-        if check:
-            est[fs, js] = np.abs(coarse - fine)
-        tol = np.array([[engine.tol.id_tol] for engine in engines])
-        # Written so that a NaN estimate fails too.
-        bad = (~(est[fs, js] <= tol) | ~np.isfinite(fine)) & np.equal(err[fs, js], None)
-        for g, i in zip(*np.nonzero(bad)):
-            e, at = est[fs[g], js[g], i], f"at (rho={rhos[i]:g}, theta={ths[g]:g})"
-            err[fs[g], js[g], i] = QuadratureError(
-                f"node-doubling disagreement {e:.3e} exceeds id_tol {at}" if not e <= tol[g, 0]
-                else f"non-finite field value {complex(fine[g, i])} {at} "
-                     f"on contour {contour.label!r}")
-    first = np.where(np.equal(err[0], None), err[-1], err[0])
-    return sum(value[1:], value[0]), sum(est[1:], est[0]), first
-
-
-def _point(pt: PolarPoint, contour: ContourPolyline, fields: tuple, check: bool) -> FieldSample:
-    value, est, err = _solve(contour, fields, [pt.theta], [pt.rho], check)
-    if err[0, 0] is not None:
-        raise err[0, 0]
-    return FieldSample(pt, complex(value[0, 0]), "FullContour", float(est[0, 0]))
+def _integrate(engine: KernelEngine, contour: ContourPolyline, pt: PolarPoint) -> complex:
+    """u1 by the folded quadrature sum on one contour; on the Gamma lines
+    plus the missed part of the moving pole w* and plane_share(theta) * u_p."""
+    total = complex(np.dot(contour.exp_factor(engine.omega, pt.rho), _column(contour, engine, pt.theta)))
+    scale = 4.0 * PI * math.sin(engine.phi)
+    if contour.upper_grid is None:
+        return total / scale
+    found = _pole_preimage(contour, engine, pt.theta)
+    if found:
+        (pole, u_s, side), (_, h, u0) = found, contour.upper_grid
+        res = cmath.exp(-engine.omega * pt.rho * cmath.sinh(pole)) * 2j * math.sin(engine.phi)
+        # The upper line runs right to left, against u.
+        total -= _missed_pole(res, u_s, u0, h, side)
+    share = plane_share(pt.theta)
+    return total / scale + share * u_plane(pt, engine) if share else total / scale
 
 
 def u1_field(
@@ -267,8 +189,35 @@ def u1_field(
 ) -> FieldSample:
     """u1 on the double loop or the two Gamma lines, with error estimate by
     refinement.  On the double loop a moving pole within pole_clearance of a
-    node raises PoleError; on the lines the sum corrects for it."""
-    return _point(pt, contour, ((engine, False),), check)
+    node raises PoleError; on the lines _integrate corrects for it."""
+    pt.require_in_wedge(engine.params)
+    _certify_rho(engine, contour, pt.rho)
+    if contour.upper_grid is None:
+        dist = _pole_distance(contour, engine, pt.theta)
+        if dist < engine.tol.pole_clearance:
+            pole = _moving_pole(engine, pt.theta)
+            raise PoleError(
+                f"moving pole {pole:.6g} within {dist:.3e} of contour",
+                nearest=pole, distance=dist,
+            )
+    val = _integrate(engine, contour, pt)
+    est = 0.0
+    if check:
+        fine = _integrate(engine, contour.refined(), pt)
+        est = abs(val - fine)
+        val = fine
+        # Written so that a NaN estimate fails too.
+        if not est <= engine.tol.id_tol:
+            raise QuadratureError(
+                f"node-doubling disagreement {est:.3e} exceeds id_tol at "
+                f"(rho={pt.rho:g}, theta={pt.theta:g})"
+            )
+    if not cmath.isfinite(val):
+        raise QuadratureError(
+            f"non-finite field value {val} at (rho={pt.rho:g}, "
+            f"theta={pt.theta:g}) on contour {contour.label!r}"
+        )
+    return FieldSample(pt, val, "FullContour", est)
 
 
 def u1_decomposed(
@@ -293,7 +242,10 @@ def u2_field(
     check: bool = True,
 ) -> FieldSample:
     """u2: the u1 integral at the reflected angle, with the k2 engine."""
-    return _point(pt, contour, ((engine2, True),), check)
+    theta1 = theta_reflect(pt.theta, engine2.phi)
+    mirrored = PolarPoint(pt.rho, theta1)
+    sample = u1_field(mirrored, engine2, contour, check=check)
+    return FieldSample(pt, sample.value, sample.method, sample.est_quad_error)
 
 
 def U_total(
@@ -303,7 +255,12 @@ def U_total(
     contour: ContourPolyline,
     check: bool = True,
 ) -> FieldSample:
-    return _point(pt, contour, ((engine1, False), (engine2, True)), check)
+    s1 = u1_field(pt, engine1, contour, check=check)
+    s2 = u2_field(pt, engine2, contour, check=check)
+    return FieldSample(
+        pt, s1.value + s2.value, "FullContour",
+        s1.est_quad_error + s2.est_quad_error,
+    )
 
 
 def grid_eval(
@@ -313,31 +270,46 @@ def grid_eval(
     engine2: Optional[KernelEngine] = None,
     check: bool = True,
 ) -> List[FieldSample]:
-    """Evaluate u1 (or U when engine2 is given) on the grid, in one _solve.
+    """Evaluate u1 (or U when engine2 is given) on the grid.
 
     Samples are returned row-major: one row per theta, rho varying fastest.
-    A point that fails with a WedgeError becomes an "error:<class>" sample
-    that keeps the exception message; any other exception propagates.
-    WEDGE_THREADS caps the threads that run the kernel sweeps and the blocks
-    of radii; every value is the bits u1_field or U_total give at its point.
+    A point that raises a WedgeError becomes an "error:<class>" sample that
+    keeps the exception message; any other exception propagates.
+    Rows are independent (kernel columns are shared through the contour
+    cache) and may be computed in parallel; WEDGE_THREADS caps the worker
+    count.  Every sample is u1_field or U_total at its point, so the
+    assembly order and the bits are the same either way.
     """
-    thetas = [float(t) for t in spec.theta_values()]
-    rhos = [float(r) for r in spec.rho_values()]
-    points = [PolarPoint(r, t) for t in thetas for r in rhos]
-    fields = ((engine1, False),) if engine2 is None else ((engine1, False), (engine2, True))
+    thetas = spec.theta_values()
+    rhos = spec.rho_values()
+
+    def row(theta: float) -> List[FieldSample]:
+        out = []
+        for rho in rhos:
+            pt = PolarPoint(float(rho), float(theta))
+            try:
+                if engine2 is None:
+                    out.append(u1_field(pt, engine1, contour, check=check))
+                else:
+                    out.append(U_total(pt, engine1, engine2, contour, check=check))
+            except WedgeError as exc:  # aggregate, do not abort the batch
+                out.append(FieldSample(
+                    pt, complex("nan"), f"error:{exc.__class__.__name__}",
+                    float("inf"), str(exc),
+                ))
+        return out
+
     n_threads = int(os.environ.get("WEDGE_THREADS", "1") or "1")
     if n_threads > 1:
-        # Threads that race on a cache entry (a column, the refined contour)
-        # both compute it, with identical results, and the last write wins.
+        # Nothing is warmed beforehand: rows run concurrently and fill the
+        # contour's caches (kernel columns, the refined contour) on first
+        # use.  Two threads that race on one entry both compute it, with
+        # identical results, and the last write wins.
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            value, est, err = _solve(contour, fields, thetas, rhos, check, pool.map)
+            rows = list(pool.map(row, thetas))
     else:
-        value, est, err = _solve(contour, fields, thetas, rhos, check)
-    return [
-        FieldSample(pt, complex(v), "FullContour", float(e)) if x is None else FieldSample(
-            pt, complex("nan"), f"error:{x.__class__.__name__}", float("inf"), str(x))
-        for pt, v, e, x in zip(points, value.ravel(), est.ravel(), err.ravel())
-    ]
+        rows = [row(th) for th in thetas]
+    return [s for r in rows for s in r]
 
 
 def field_csv(samples: Sequence[FieldSample], path, params: ProblemParams, timestamp: str = "") -> None:

@@ -294,8 +294,10 @@ def check_helmholtz(
     for pt in points:
         rho, th = pt.rho, pt.theta
         ht = h / rho
-        if np.min(np.abs(fine.w - solver._moving_pole(engine, th))) < 2.0 * ht:
+        if solver._pole_distance(fine, engine, th) < 2.0 * ht:
             continue  # deformation corridor too narrow at this point
+        # The solver caches v1 folded onto half of the nodes; the shifted
+        # stencil values need it on every node.
         if th not in sweeps:
             sweeps[th] = engine.v1_hat(fine.w + 1j * th)
         kern = sweeps[th]

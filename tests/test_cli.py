@@ -123,15 +123,16 @@ def test_field_command_reports_failures_on_stderr(tmp_path, capsys, monkeypatch)
     from wedgebvp import solver
     from wedgebvp.errors import PoleError, QuadratureError
 
-    real_tails = solver._tail_errors
+    real_total = solver.U_total
 
-    def flaky(engine, contour, rhos):
-        # Per radius, the failure the grid records for that point's u1.
-        return [QuadratureError(f"too wide at rho={rho:g}") if rho > 0.9
-                else PoleError("pole in the way") if rho < 0.6 else real
-                for rho, real in zip(rhos, real_tails(engine, contour, rhos))]
+    def flaky(pt, *args, **kwargs):
+        if pt.rho > 0.9:
+            raise QuadratureError(f"too wide at rho={pt.rho:g}")
+        if pt.rho < 0.6:
+            raise PoleError("pole in the way")
+        return real_total(pt, *args, **kwargs)
 
-    monkeypatch.setattr(solver, "_tail_errors", flaky)
+    monkeypatch.setattr(solver, "U_total", flaky)
     out = tmp_path / "field.csv"
     cfgp = _write(
         tmp_path, "f.cfg",

@@ -62,6 +62,18 @@ def test_a1_matches_oracle_at_strongly_tilted_omega():
     assert max(_oracle_errors(e, points)) <= 1e-8
 
 
+@pytest.mark.parametrize("sigma", [1e-3, 1e-2])
+def test_a1_matches_oracle_in_the_bend_at_small_tilt(sigma):
+    # a = arctan(0.02): the carrier turns within |x| of about 0.01.  Just
+    # above L at these abscissae the root of the coth pole tau* = w took
+    # the carrier's locate until its polish step to converge; judged before
+    # it, the root was rejected and the pole correction dropped, which put
+    # a1 off by 1.0 to 2.0 here.
+    e = build_engine(ProblemParams(omega=1 + 0.02j, phi=7 * PI / 4))
+    points = [(x, sigma) for x in (-0.005, -0.003, -0.00125)]
+    assert max(_oracle_errors(e, points)) <= 1e-9
+
+
 @pytest.mark.parametrize("omega", [1j, 0.5 + 1j, 1 + 0.5j, 1 + 0.3j])
 @pytest.mark.parametrize("phi", [4 * PI / 3, 7 * PI / 4])
 def test_a1_mean_value_property(omega, phi):

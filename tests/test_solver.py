@@ -257,7 +257,7 @@ def test_kernel_cache_never_serves_a_freed_engine():
     theta = 1.8 * PI
     for k in np.linspace(0.5, 2.0, 20):
         engine = build_engine(p, k=float(k))
-        got, _ = solver._column(cont, engine, theta)
+        got = solver._column(cont, engine, theta)
         f = engine.v1_hat(cont.w + 1j * theta) * cont.dw * cont.weight
         assert np.array_equal(got, f[:cont.mirror.size] + f[cont.mirror])
         del engine
@@ -306,10 +306,10 @@ def _bits(samples):
 
 @pytest.mark.parametrize("threads", ["2", "4"])
 def test_grid_eval_threads_share_the_exponential_factor(setup, monkeypatch, threads):
-    # Threaded kernel sweeps and blocks of radii race on each contour's
-    # sinh(w), its column cache and the refined contour; every value and
-    # estimate must still be the serial run's bits.  A short switch interval
-    # makes the threads interleave inside the cache lookups.
+    # Threaded rows race on each contour's sinh(w), exponential slot and
+    # column cache (u1 and u2, coarse and refined); every value and estimate
+    # must still be the serial run's bits.  A short switch interval makes the
+    # threads interleave inside the slot's lookups.
     e1, e2, _, _ = setup
     spec = GridSpec(0.3, 1.2, 4, PARAMS.theta_min, PARAMS.theta_max, 6)
     serial = grid_eval(spec, e1, sommerfeld_double_loop(PARAMS, rho_min=0.25),
@@ -369,9 +369,7 @@ def test_checked_row_makes_one_exponential_per_contour_and_rho(monkeypatch):
     real_exp = np.exp
 
     def counting_exp(x, *args, **kwargs):
-        # The factor's blocks are (radii, nodes); other exponentials in the
-        # field (tail bound, plane wave) run over radii only.
-        if np.ndim(x) == 2 and np.shape(x)[1] in halves:
+        if np.size(x) in halves:
             counted.append(np.size(x))
         return real_exp(x, *args, **kwargs)
 
@@ -491,15 +489,13 @@ def test_boundary_check_on_tilted_lines_warns_of_nothing():
 @pytest.mark.parametrize("check", [True, False])
 @pytest.mark.parametrize("on_lines", [False, True])
 def test_grid_values_are_the_point_values_bit_for_bit(setup, monkeypatch, on_lines, check, threads):
-    # The grid takes e^{-omega*rho*sinh w} in blocks of radii and one row sum
-    # per (rho, column); a point is a one-row block.  Row sums do not depend
-    # on the block's shape, so every value, estimate and error message of the
-    # grid is the one U_total or u1_field gives at that point.
+    # A grid evaluates U_total or u1_field at each point, serially or in
+    # threaded rows that share the contour's caches; every value, estimate
+    # and error message is the one that call gives at that point alone.
     e1, e2, cont, dec = setup
     c = dec if on_lines else cont
     n_theta = 3
-    per_block = solver._BLOCK // c.mirror.size  # radii per block on the coarse contour
-    spec = GridSpec(0.3, 1.0, 2 * per_block + 1, PARAMS.theta_min, PARAMS.theta_max, n_theta)
+    spec = GridSpec(0.3, 1.0, 7, PARAMS.theta_min, PARAMS.theta_max, n_theta)
     monkeypatch.setenv("WEDGE_THREADS", threads)
     for engines, point in (((e1, e2), U_total), ((e1,), u1_field)):
         samples = grid_eval(spec, e1, c, engine2=engines[1] if len(engines) > 1 else None,
@@ -527,15 +523,15 @@ def test_folded_sum_matches_the_sum_over_all_nodes(phi):
         for c in (base, base.refined()):
             used = 0
             for theta in np.linspace(p.theta_min, p.theta_max, 7):
-                col = solver._column(c, e, float(theta))
-                if c.upper_grid and (col[1] or solver.plane_share(theta)):
+                theta = float(theta)
+                if c.upper_grid and (solver._pole_preimage(c, e, theta) or solver.plane_share(theta)):
                     continue  # a pole or plane-wave term on top of the sum
-                got = solver._sums(c, [(e, float(theta))], [col], rhos, map)[0] * scale
                 kern = e.v1_hat(c.w + 1j * theta)
-                for rho, g in zip(rhos, got):
+                for rho in rhos:
+                    got = solver._integrate(e, c, PolarPoint(float(rho), theta)) * scale
                     terms = np.exp(-e.omega * rho * c.sinh_w) * kern * c.dw * c.weight
                     want = c.integrate(np.exp(-e.omega * rho * c.sinh_w) * kern)
-                    assert abs(g - want) <= 1e-14 * np.sum(np.abs(terms))
+                    assert abs(got - want) <= 1e-14 * np.sum(np.abs(terms))
                 used += 1
             assert used >= 2, c.label
 
