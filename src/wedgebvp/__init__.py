@@ -13,7 +13,6 @@ from .core import (
 from .contour import (
     ContourPolyline,
     decomposition_contour,
-    gamma_point,
     sommerfeld_double_loop,
     truncation_cutoff,
 )
@@ -29,7 +28,6 @@ __all__ = [
     "branch_point",
     "build_engine",
     "decomposition_contour",
-    "gamma_point",
     "sommerfeld_double_loop",
     "theta_reflect",
     "truncation_cutoff",

@@ -48,11 +48,10 @@ class RunConfig:
     params: ProblemParams
     grid: GridSpec
     outputs: Dict[str, str]
-    command: str = "verify"
     seed: int = verify.DEFAULT_SEED
 
 
-def parse_config(text: str, command: str = "verify") -> RunConfig:
+def parse_config(text: str) -> RunConfig:
     raw: Dict[str, object] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -109,7 +108,7 @@ def parse_config(text: str, command: str = "verify") -> RunConfig:
     outputs = {k: str(raw[k]) for k in _PATH_KEYS if k in raw}
     return RunConfig(
         params=params, grid=grid, outputs=outputs,
-        command=command, seed=int(raw.get("seed", verify.DEFAULT_SEED)),
+        seed=int(raw.get("seed", verify.DEFAULT_SEED)),
     )
 
 
@@ -218,7 +217,7 @@ def main(argv=None) -> int:
     try:
         with open(ns.config, "r", encoding="utf-8") as fh:
             text = fh.read()
-        cfg = parse_config(text, command=ns.command)
+        cfg = parse_config(text)
     except (OSError, ParseError, DomainError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1

@@ -14,8 +14,9 @@ linear growth, and on every curve used here the exponential obeys
     |e^{-omega*rho*sinh(w - i*tau)}| <= e^{-C*rho*cosh(Re w)},
     C = (Im omega)^2 * sin(tau0) / |omega|,
 
-uniformly over the relevant tau-window, which is what certifies truncation
-of the infinite tails at a computable abscissa Wmax.
+uniformly over the tau-window of half-width tau0 = pi/2 that every contour
+here keeps, which is what certifies truncation of the infinite tails at a
+computable abscissa Wmax.
 
 Contours provided:
 
@@ -42,7 +43,7 @@ Gamma_{pi/2-Phi} this way too.
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -53,15 +54,8 @@ _GAUSS_N = 16
 _GX, _GW = np.polynomial.legendre.leggauss(_GAUSS_N)
 
 
-def gamma_point(omega: complex, alpha: float, w1: float) -> complex:
-    """Point of Gamma_alpha(omega) at abscissa w1."""
-    om = complex(omega)
-    if not om.imag > 0.0:
-        raise DomainError("gamma_point requires Im omega > 0")
-    return w1 + 1j * (gamma_height(om, w1) + alpha)
-
-
 def _gamma_points(omega: complex, alpha: float, w1: np.ndarray) -> np.ndarray:
+    """Points of Gamma_alpha(omega) at the abscissas w1."""
     om = complex(omega)
     ratio = om.real / om.imag
     return w1 + 1j * (np.arctan(ratio * np.tanh(w1)) + alpha)
@@ -75,21 +69,19 @@ def _gamma_slope(omega: complex, w1: np.ndarray) -> np.ndarray:
     return ratio * (1.0 - th * th) / (1.0 + (ratio * th) ** 2)
 
 
-def decay_rate(omega: complex, tau0: float = PI / 2.0) -> float:
-    """The constant C in the tail bound exp(-C*rho*cosh(Re w))."""
+def decay_rate(omega: complex) -> float:
+    """The constant C in the tail bound exp(-C*rho*cosh(Re w)), at tau0 = pi/2."""
     om = complex(omega)
-    return om.imag * math.sin(tau0) * om.imag / abs(om)
+    return om.imag * om.imag / abs(om)
 
 
-def truncation_cutoff(omega: complex, tau0: float, rho: float, tol: float) -> float:
-    """Smallest Wmax with exp(-C(omega,tau0)*rho*cosh(Wmax)) <= tol."""
-    if not (0.0 < tau0 <= PI / 2.0):
-        raise DomainError(f"tau0 must be in (0, pi/2], got {tau0}")
+def truncation_cutoff(omega: complex, rho: float, tol: float) -> float:
+    """Smallest Wmax with exp(-C(omega)*rho*cosh(Wmax)) <= tol."""
     if not rho > 0.0:
         raise DomainError(f"rho must be > 0, got {rho}")
     if not 0.0 < tol < 1.0:
         raise DomainError(f"tol must be in (0,1), got {tol}")
-    target = math.log(1.0 / tol) / (decay_rate(omega, tau0) * rho)
+    target = math.log(1.0 / tol) / (decay_rate(omega) * rho)
     return math.acosh(max(target, 1.0))
 
 
@@ -114,8 +106,7 @@ class ContourPolyline:
     * cache, the folded kernel columns, the moving-pole distance and its
       preimage per (engine, theta) that the solver fills.
 
-    The refined contour keeps its own.  Each entry is written whole, so
-    threads that race on a miss both compute the same bits.
+    The refined contour keeps its own.
     """
 
     def __init__(
@@ -125,7 +116,6 @@ class ContourPolyline:
         weight: np.ndarray,
         label: str,
         mirror: np.ndarray,
-        components: Sequence[Tuple[str, slice]] = (),
         refiner: Optional[Callable[[], "ContourPolyline"]] = None,
     ):
         self.w = np.asarray(w, dtype=complex)
@@ -133,7 +123,6 @@ class ContourPolyline:
         self.weight = np.asarray(weight, dtype=float)
         self.label = label
         self.mirror = np.asarray(mirror, dtype=np.intp)
-        self.components = tuple(components)
         self._refiner = refiner
         self._refined: Optional[ContourPolyline] = None
         self.Wmax = float(np.max(np.abs(self.w.real)))
@@ -160,9 +149,6 @@ class ContourPolyline:
     def exp_factor(self, omega: complex, rho: float) -> np.ndarray:
         """e^{-omega*rho*sinh w} on the first half of the nodes, whose
         partners share it; the last one made is kept.
-
-        The slot is one tuple, so a concurrent reader sees a key and a value
-        that belong together.
         """
         slot = self._exp_slot
         if slot is not None and slot[0] == omega and slot[1] == rho:
@@ -361,23 +347,6 @@ def default_b(p: ProblemParams) -> float:
     return max(2.0 * b1, 2.0 * b2, 0.25) + 0.25
 
 
-def _concat(pieces):
-    ws, dws, wts, comps = [], [], [], []
-    pos = 0
-    for name, (w, dw, wt) in pieces:
-        ws.append(w)
-        dws.append(dw)
-        wts.append(wt)
-        comps.append((name, slice(pos, pos + w.size)))
-        pos += w.size
-    return (
-        np.concatenate(ws),
-        np.concatenate(dws),
-        np.concatenate(wts),
-        comps,
-    )
-
-
 def _tail_bound(omega: complex, phi: float, Wmax: float, rho: float) -> float:
     """Bound on the integrand beyond |Re w| = Wmax: the decay of the
     exponential factor times the linear growth of the kernel."""
@@ -432,25 +401,24 @@ def sommerfeld_double_loop(p: ProblemParams, rho_min: float = 0.25) -> ContourPo
     validate_params(p)
     tol = p.tol.quad_rel
     b = default_b(p)
-    Wmax = max(truncation_cutoff(p.omega, PI / 2.0, rho_min, tol * 1e-2), b + 1.0)
+    Wmax = max(truncation_cutoff(p.omega, rho_min, tol * 1e-2), b + 1.0)
     _certify_tail(p, Wmax, rho_min, tol)
 
     def build(n_tail, n_vert, label, refiner=None):
         a_lo, a_hi = -5.0 * PI / 2.0, -PI / 2.0
         y_b = gamma_height(p.omega, -b)
         tail = _tail_breaks(-Wmax, -b, n_tail)
-        w2, dw2, wt2, comps2 = _concat([
-            ("lower_left_tail", _gamma_piece(p.omega, a_lo, tail)),
-            ("left_vertical", _vertical_piece(-b, y_b + a_lo, y_b + a_hi, n_vert)),
-            ("upper_left_tail", _gamma_piece(p.omega, a_hi, tail[::-1])),
-        ])
+        # Lower tail, vertical link, upper tail.
+        w2, dw2, wt2 = (np.concatenate(parts) for parts in zip(
+            _gamma_piece(p.omega, a_lo, tail),
+            _vertical_piece(-b, y_b + a_lo, y_b + a_hi, n_vert),
+            _gamma_piece(p.omega, a_hi, tail[::-1]),
+        ))
         # C1 = -C2 - 3pi*i, same node order (tangents flip sign with the map).
-        comps1 = [(f"mirror_{name}", slice(sl.start + w2.size, sl.stop + w2.size))
-                  for name, sl in comps2]
         return ContourPolyline(
             np.concatenate([w2, -w2 - 3j * PI]), np.concatenate([dw2, -dw2]),
             np.concatenate([wt2, wt2]), label, np.arange(w2.size, 2 * w2.size),
-            comps2 + comps1, refiner=refiner)
+            refiner=refiner)
 
     cont = build(16, 8, "sommerfeld", lambda: build(32, 16, "sommerfeld_fine"))
     _check_pole_distance(p, cont.w, p.k1)
@@ -470,7 +438,7 @@ def decomposition_contour(p: ProblemParams, rho_min: float = 0.25) -> ContourPol
     """
     validate_params(p)
     tol = p.tol.quad_rel
-    Wmax = max(truncation_cutoff(p.omega, PI / 2.0, rho_min, tol * 1e-2), 3.0)
+    Wmax = max(truncation_cutoff(p.omega, rho_min, tol * 1e-2), 3.0)
     _certify_tail(p, Wmax, rho_min, tol)
     upper = _Line(p.omega, -PI / 2.0)
     h = upper.step
@@ -483,14 +451,11 @@ def decomposition_contour(p: ProblemParams, rho_min: float = 0.25) -> ContourPol
 
     def build(step, label, refiner=None):
         _, w, dw = upper.nodes(step, Wmax, u0)
-        ones = np.ones(w.size)
+        n = w.size
         # Gamma_{-5pi/2} is Gamma_{-pi/2} moved down by 2pi*i.
-        w, dw, wt, comps = _concat([
-            ("lower_line", (w - 2j * PI, dw, ones)),
-            ("upper_line", (w[::-1], -dw[::-1], ones)),
-        ])
-        cont = ContourPolyline(w, dw, wt, label, np.arange(w.size - 1, w.size // 2 - 1, -1),
-                               comps, refiner=refiner)
+        cont = ContourPolyline(np.concatenate([w - 2j * PI, w[::-1]]),
+                               np.concatenate([dw, -dw[::-1]]), np.ones(2 * n), label,
+                               np.arange(2 * n - 1, n - 1, -1), refiner=refiner)
         cont.upper_grid = (upper, step, u0)
         return cont
 

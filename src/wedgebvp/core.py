@@ -108,8 +108,9 @@ class PolarPoint:
         if not self.rho > 0.0:
             raise DomainError(f"rho must be > 0, got {self.rho}")
 
-    def require_in_wedge(self, p: ProblemParams, slack: float = 1e-12) -> "PolarPoint":
-        if not (p.theta_min - slack <= self.theta <= p.theta_max + slack):
+    def require_in_wedge(self, p: ProblemParams) -> "PolarPoint":
+        """Raise DomainError unless theta is in the wedge, to within 1e-12."""
+        if not (p.theta_min - 1e-12 <= self.theta <= p.theta_max + 1e-12):
             raise DomainError(
                 f"theta={self.theta} outside wedge [{p.theta_min}, {p.theta_max}]"
             )

@@ -32,15 +32,14 @@ _column folds each (engine, theta) column's v1*dw*weight onto the first
 half, once per contour, and the factor is taken on that half only: the
 contour's exp_factor slot keeps the last one, which u1 and u2 of one point
 share.  A value is one dot product over the half.  grid_eval evaluates
-u1_field or U_total at each of its points.
+u1_field or U_total at each of its points with rho outer, so the slot serves
+every theta of a radius: a grid takes the factor once per (contour, rho).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -69,11 +68,8 @@ class GridSpec:
     theta_min: float
     theta_max: float
     n_theta: int
-    log_rho: bool = False
 
     def rho_values(self) -> np.ndarray:
-        if self.log_rho:
-            return np.geomspace(self.rho_min, self.rho_max, self.n_rho)
         return np.linspace(self.rho_min, self.rho_max, self.n_rho)
 
     def theta_values(self) -> np.ndarray:
@@ -275,41 +271,26 @@ def grid_eval(
     Samples are returned row-major: one row per theta, rho varying fastest.
     A point that raises a WedgeError becomes an "error:<class>" sample that
     keeps the exception message; any other exception propagates.
-    Rows are independent (kernel columns are shared through the contour
-    cache) and may be computed in parallel; WEDGE_THREADS caps the worker
-    count.  Every sample is u1_field or U_total at its point, so the
-    assembly order and the bits are the same either way.
+    Every sample is u1_field or U_total at its point.  The loop runs rho
+    outer, so the contour's exp_factor slot serves all thetas of a radius,
+    and the kernel columns come from the contour cache.
     """
     thetas = spec.theta_values()
-    rhos = spec.rho_values()
-
-    def row(theta: float) -> List[FieldSample]:
-        out = []
-        for rho in rhos:
+    rows: List[List[FieldSample]] = [[] for _ in thetas]
+    for rho in spec.rho_values():
+        for row, theta in zip(rows, thetas):
             pt = PolarPoint(float(rho), float(theta))
             try:
                 if engine2 is None:
-                    out.append(u1_field(pt, engine1, contour, check=check))
+                    row.append(u1_field(pt, engine1, contour, check=check))
                 else:
-                    out.append(U_total(pt, engine1, engine2, contour, check=check))
+                    row.append(U_total(pt, engine1, engine2, contour, check=check))
             except WedgeError as exc:  # aggregate, do not abort the batch
-                out.append(FieldSample(
+                row.append(FieldSample(
                     pt, complex("nan"), f"error:{exc.__class__.__name__}",
                     float("inf"), str(exc),
                 ))
-        return out
-
-    n_threads = int(os.environ.get("WEDGE_THREADS", "1") or "1")
-    if n_threads > 1:
-        # Nothing is warmed beforehand: rows run concurrently and fill the
-        # contour's caches (kernel columns, the refined contour) on first
-        # use.  Two threads that race on one entry both compute it, with
-        # identical results, and the last write wins.
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            rows = list(pool.map(row, thetas))
-    else:
-        rows = [row(th) for th in thetas]
-    return [s for r in rows for s in r]
+    return [s for row in rows for s in row]
 
 
 def field_csv(samples: Sequence[FieldSample], path, params: ProblemParams, timestamp: str = "") -> None:

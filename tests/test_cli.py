@@ -13,6 +13,7 @@ import wedgebvp
 from wedgebvp.cli import main, parse_config
 from wedgebvp.core import PI
 from wedgebvp.errors import DomainError, ParseError
+from wedgebvp.verify import DEFAULT_SEED
 
 BASE = """
 # half-plane-with-slit benchmark
@@ -27,7 +28,7 @@ def test_parse_config_minimal_defaults():
     assert cfg.params.omega == 1j
     assert cfg.params.k1 == 1.0 and cfg.params.k2 == 1.0
     assert cfg.grid.n_rho == 10 and cfg.grid.n_theta == 10
-    assert cfg.command == "verify"
+    assert cfg.seed == DEFAULT_SEED
 
 
 def test_parse_config_full():
@@ -38,7 +39,7 @@ def test_parse_config_full():
         f"theta_min = {1.6 * math.pi}\ntheta_max = {1.9 * math.pi}\nn_theta = 3\n"
         "seed = 7\nout_field = out.csv\n"
     )
-    cfg = parse_config(text, command="field")
+    cfg = parse_config(text)
     assert cfg.params.omega == 0.5 + 1j
     assert cfg.params.k2 == 2.0
     assert cfg.seed == 7

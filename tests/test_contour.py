@@ -9,9 +9,9 @@ from wedgebvp.core import PI, TWO_PI, ProblemParams, branch_point
 from wedgebvp.contour import (
     _Line,
     _certify_tail,
+    _gamma_points,
     decay_rate,
     decomposition_contour,
-    gamma_point,
     sommerfeld_double_loop,
     truncation_cutoff,
 )
@@ -19,16 +19,16 @@ from wedgebvp.errors import DomainError, GeometryError
 
 
 def test_gamma_point_flat_for_imaginary_omega():
-    assert gamma_point(1j, 0.0, 3.7) == pytest.approx(3.7)
+    assert _gamma_points(1j, 0.0, 3.7) == pytest.approx(3.7)
 
 
 def test_gamma_point_limit_angle():
-    w = gamma_point(1.0 + 1.0j, 0.0, 40.0)
+    w = _gamma_points(1.0 + 1.0j, 0.0, 40.0)
     assert w.imag == pytest.approx(math.atan(1.0), abs=1e-12)
 
 
 def test_gamma_point_offset_at_zero():
-    w = gamma_point(1.0 + 1.0j, PI, 0.0)
+    w = _gamma_points(1.0 + 1.0j, PI, 0.0)
     assert w == pytest.approx(1j * PI)
 
 
@@ -38,28 +38,28 @@ def test_gamma_curve_keeps_z1_real():
     for _ in range(100):
         om = complex(rng.uniform(0.0, 3.0), rng.uniform(0.2, 3.0))
         w1 = float(rng.uniform(-4.0, 4.0))
-        w = gamma_point(om, 0.0, w1)
+        w = _gamma_points(om, 0.0, w1)
         assert abs((-1j * om * np.sinh(w)).imag) < 1e-12 * max(1.0, abs(om) * math.cosh(w1))
 
 
 def test_truncation_cutoff_unit_frequency():
     # With omega=i the decay constant is 1: invert exp(-rho*cosh W) = tol.
-    assert truncation_cutoff(1j, PI / 2, 1.0, math.exp(-10.0)) == pytest.approx(
+    assert truncation_cutoff(1j, 1.0, math.exp(-10.0)) == pytest.approx(
         math.acosh(10.0), abs=1e-12
     )
-    assert truncation_cutoff(1j, PI / 2, 0.01, math.exp(-10.0)) == pytest.approx(
+    assert truncation_cutoff(1j, 0.01, math.exp(-10.0)) == pytest.approx(
         math.acosh(1000.0), abs=1e-12
     )
 
 
 def test_truncation_cutoff_rejects_tol_ge_one():
     with pytest.raises(DomainError):
-        truncation_cutoff(1j, PI / 2, 1.0, 1.0)
+        truncation_cutoff(1j, 1.0, 1.0)
 
 
 def test_truncation_bound_holds_at_cutoff():
     for om in (1j, 0.5 + 1.0j):
-        W = truncation_cutoff(om, PI / 2, 0.5, 1e-12)
+        W = truncation_cutoff(om, 0.5, 1e-12)
         C = decay_rate(om)
         assert math.exp(-C * 0.5 * math.cosh(W)) <= 1e-12 * (1.0 + 1e-12)
 
@@ -89,16 +89,6 @@ def test_double_loop_certifies_tail():
         _certify_tail(p, 1.8, 0.5, p.tol.quad_rel)
 
 
-def test_contour_components_present():
-    p = ProblemParams(omega=0.5 + 1j, phi=7 * PI / 4)
-    cont = sommerfeld_double_loop(p, rho_min=0.5)
-    names = [name for name, _ in cont.components]
-    assert names == [
-        "lower_left_tail", "left_vertical", "upper_left_tail",
-        "mirror_lower_left_tail", "mirror_left_vertical", "mirror_upper_left_tail",
-    ]
-
-
 def test_refined_contour_doubles_resolution():
     p = ProblemParams(omega=1j, phi=1.5 * PI)
     cont = sommerfeld_double_loop(p, rho_min=0.5)
@@ -110,13 +100,13 @@ def test_refined_contour_doubles_resolution():
 def test_decomposition_contour_flat_lines_for_imaginary_omega():
     p = ProblemParams(omega=1j, phi=1.5 * PI)
     cont = decomposition_contour(p, rho_min=0.5)
-    comps = dict(cont.components)
-    lower = cont.w[comps["lower_line"]]
-    upper = cont.w[comps["upper_line"]]
+    # The lower line is the first half of the nodes, the upper the second.
+    half = cont.mirror.size
+    lower, upper = cont.w[:half], cont.w[half:]
     assert np.max(np.abs(lower.imag + 2.5 * PI)) < 1e-14
     assert np.max(np.abs(upper.imag + 0.5 * PI)) < 1e-14
     # Orientation: the upper line is traversed right to left.
-    du = cont.dw[comps["upper_line"]] * cont.weight[comps["upper_line"]]
+    du = cont.dw[half:] * cont.weight[half:]
     assert np.sum(du).real < 0.0
 
 

@@ -10,7 +10,6 @@ precision.
 import cmath
 import math
 import os
-import sys
 
 import numpy as np
 import pytest
@@ -199,10 +198,6 @@ def test_refinement_error_estimate_is_small(setup):
 
 
 def test_grid_spec_spacing():
-    spec = GridSpec(0.1, 10.0, 5, 1.5 * PI, 2.0 * PI, 3, log_rho=True)
-    r = spec.rho_values()
-    assert r[0] == pytest.approx(0.1) and r[-1] == pytest.approx(10.0)
-    assert np.allclose(np.diff(np.log(r)), np.diff(np.log(r))[0])
     lin = GridSpec(0.1, 10.0, 5, 1.5 * PI, 2.0 * PI, 3)
     assert np.allclose(np.diff(lin.rho_values()), np.diff(lin.rho_values())[0])
 
@@ -233,8 +228,7 @@ def test_grid_eval_total_field_and_errors(setup):
     assert samples[1].value == want
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_grid_eval_propagates_non_wedge_errors(setup, monkeypatch, threads):
+def test_grid_eval_propagates_non_wedge_errors(setup, monkeypatch):
     # Only WedgeError becomes an error sample; a bug elsewhere must surface.
     # A fresh contour has no kernel samples cached, so every column sweeps.
     e1 = setup[0]
@@ -243,7 +237,6 @@ def test_grid_eval_propagates_non_wedge_errors(setup, monkeypatch, threads):
         raise ValueError("not a numerical failure")
 
     monkeypatch.setattr(KernelEngine, "v1_hat", broken)
-    monkeypatch.setenv("WEDGE_THREADS", threads)
     spec = GridSpec(0.5, 1.0, 2, 1.6 * PI, 1.9 * PI, 3)
     with pytest.raises(ValueError):
         grid_eval(spec, e1, sommerfeld_double_loop(PARAMS, rho_min=0.25), check=False)
@@ -289,43 +282,6 @@ def test_pole_guard_holds_on_a_warm_contour():
     assert str(warm.value) == first == str(cold.value)
 
 
-def test_grid_eval_thread_determinism(setup, monkeypatch):
-    e1, _, cont, _ = setup
-    spec = GridSpec(0.5, 1.0, 2, 1.6 * PI, 1.9 * PI, 3)
-    serial = grid_eval(spec, e1, cont, check=False)
-    monkeypatch.setenv("WEDGE_THREADS", "4")
-    threaded = grid_eval(spec, e1, cont, check=False)
-    assert [s.value for s in serial] == [s.value for s in threaded]
-
-
-def _bits(samples):
-    values = np.array([s.value for s in samples])
-    ests = np.array([s.est_quad_error for s in samples])
-    return values.view(np.uint8).tobytes(), ests.view(np.uint8).tobytes()
-
-
-@pytest.mark.parametrize("threads", ["2", "4"])
-def test_grid_eval_threads_share_the_exponential_factor(setup, monkeypatch, threads):
-    # Threaded rows race on each contour's sinh(w), exponential slot and
-    # column cache (u1 and u2, coarse and refined); every value and estimate
-    # must still be the serial run's bits.  A short switch interval makes the
-    # threads interleave inside the slot's lookups.
-    e1, e2, _, _ = setup
-    spec = GridSpec(0.3, 1.2, 4, PARAMS.theta_min, PARAMS.theta_max, 6)
-    serial = grid_eval(spec, e1, sommerfeld_double_loop(PARAMS, rho_min=0.25),
-                       engine2=e2, check=True)
-    monkeypatch.setenv("WEDGE_THREADS", threads)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threaded = grid_eval(spec, e1, sommerfeld_double_loop(PARAMS, rho_min=0.25),
-                             engine2=e2, check=True)
-    finally:
-        sys.setswitchinterval(interval)
-    assert [s.method for s in serial] == [s.method for s in threaded]
-    assert _bits(serial) == _bits(threaded)
-
-
 def test_exponential_factor_is_keyed_on_omega_and_rho():
     # One shared contour serves engines of two frequencies at alternating
     # radii; each call must match the same call on a fresh contour, whose
@@ -354,16 +310,15 @@ def test_exponential_factor_is_keyed_on_omega_and_rho():
 
 
 def test_checked_row_makes_one_exponential_per_contour_and_rho(monkeypatch):
-    # u1 and u2 share e^{-omega*rho*sinh w}, and mirrored nodes share its
-    # value: a checked row of n radii makes it on half of the coarse and
-    # half of the refined contour per radius, n*(N + N_fine)/2 elements in
-    # all (twice as many with one per node, four times with one per field).
+    # u1 and u2 share e^{-omega*rho*sinh w}, mirrored nodes share its value,
+    # and the grid runs rho outer, so every theta of a radius shares it too:
+    # a checked grid of n radii makes it on half of the coarse and half of
+    # the refined contour per radius, n*(N + N_fine)/2 elements in all,
+    # whatever its number of thetas (twice as many with one per node, four
+    # times with one per field, n_theta times with one per point).
     p = ProblemParams(omega=0.5 + 1j, phi=1.5 * PI, k1=1.0, k2=0.5)
     e1, e2 = build_engine(p, k=p.k1), build_engine(p, k=p.k2)
     cont = sommerfeld_double_loop(p, rho_min=0.25)
-    theta = 1.7 * PI
-    # Fill the kernel cache first, so that only the field's own work counts.
-    grid_eval(GridSpec(2.0, 2.0, 1, theta, theta, 1), e1, cont, engine2=e2)
     halves = {len(cont) // 2, len(cont.refined()) // 2}
     counted = []
     real_exp = np.exp
@@ -375,9 +330,42 @@ def test_checked_row_makes_one_exponential_per_contour_and_rho(monkeypatch):
 
     monkeypatch.setattr(np, "exp", counting_exp)
     n = 5
-    samples = grid_eval(GridSpec(0.3, 1.5, n, theta, theta, 1), e1, cont, engine2=e2)
-    assert all(s.method == "FullContour" for s in samples)
-    assert sum(counted) == n * (len(cont) + len(cont.refined())) // 2
+    for thetas in ((1.7 * PI, 1.7 * PI, 1), (1.55 * PI, 1.85 * PI, 3)):
+        # Fill the kernel cache first, so that only the field's own work counts.
+        grid_eval(GridSpec(2.0, 2.0, 1, *thetas), e1, cont, engine2=e2)
+        counted.clear()
+        samples = grid_eval(GridSpec(0.3, 1.5, n, *thetas), e1, cont, engine2=e2)
+        assert len(samples) == n * thetas[2]
+        assert all(s.method == "FullContour" for s in samples)
+        assert sum(counted) == n * (len(cont) + len(cont.refined())) // 2
+
+
+def test_grid_calls_the_point_field_per_point_and_the_kernel_per_column(monkeypatch):
+    # The benchmark's tracer attributes field work through solver.u1_field:
+    # a checked U grid calls it once per field and point (u1 and u2), and
+    # sweeps the kernel once per engine, theta and contour (coarse, refined).
+    p = ProblemParams(omega=0.5 + 1j, phi=1.5 * PI, k1=1.0, k2=0.5)
+    e1, e2 = build_engine(p, k=p.k1), build_engine(p, k=p.k2)
+    calls = {"u1_field": 0, "v1_hat": 0}
+    real_u1, real_v1 = solver.u1_field, KernelEngine.v1_hat
+
+    def counting_u1(*args, **kwargs):
+        calls["u1_field"] += 1
+        return real_u1(*args, **kwargs)
+
+    def counting_v1(self, w):
+        calls["v1_hat"] += 1
+        return real_v1(self, w)
+
+    monkeypatch.setattr(solver, "u1_field", counting_u1)
+    monkeypatch.setattr(KernelEngine, "v1_hat", counting_v1)
+    n_theta, n_rho = 3, 4
+    spec = GridSpec(0.3, 1.5, n_rho, 1.55 * PI, 1.85 * PI, n_theta)
+    for cont in (sommerfeld_double_loop(p, rho_min=0.25), decomposition_contour(p, rho_min=0.25)):
+        calls.update(u1_field=0, v1_hat=0)
+        samples = grid_eval(spec, e1, cont, engine2=e2)
+        assert all(s.method == "FullContour" for s in samples), cont.label
+        assert calls == {"u1_field": 2 * n_theta * n_rho, "v1_hat": 4 * n_theta}, cont.label
 
 
 def test_field_csv_roundtrip(tmp_path, setup):
@@ -485,18 +473,16 @@ def test_boundary_check_on_tilted_lines_warns_of_nothing():
     assert res.passed, res
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
 @pytest.mark.parametrize("check", [True, False])
 @pytest.mark.parametrize("on_lines", [False, True])
-def test_grid_values_are_the_point_values_bit_for_bit(setup, monkeypatch, on_lines, check, threads):
-    # A grid evaluates U_total or u1_field at each point, serially or in
-    # threaded rows that share the contour's caches; every value, estimate
-    # and error message is the one that call gives at that point alone.
+def test_grid_values_are_the_point_values_bit_for_bit(setup, on_lines, check):
+    # A grid evaluates U_total or u1_field at each point, rho outer, with the
+    # contour's caches shared; every value, estimate and error message is the
+    # one that call gives at that point alone.
     e1, e2, cont, dec = setup
     c = dec if on_lines else cont
     n_theta = 3
     spec = GridSpec(0.3, 1.0, 7, PARAMS.theta_min, PARAMS.theta_max, n_theta)
-    monkeypatch.setenv("WEDGE_THREADS", threads)
     for engines, point in (((e1, e2), U_total), ((e1,), u1_field)):
         samples = grid_eval(spec, e1, c, engine2=engines[1] if len(engines) > 1 else None,
                             check=check)
