@@ -430,8 +430,9 @@ def decomposition_contour(p: ProblemParams, rho_min: float = 0.25) -> ContourPol
     """Gamma_{-5pi/2} traversed left-to-right then Gamma_{-pi/2} right-to-left.
 
     Both lines carry the trapezoid nodes u0 + j*h of _Line, h = _Line.step,
-    cut at Wmax; refined() halves h.  The moving kernel pole
-    -p1 + pi*i - i*theta crosses the upper line at -p1 - pi*i/2 when theta =
+    laid to one step in u past the certified cutoff Wmax, so that the last
+    node on either side reaches it; refined() halves h.  The moving kernel
+    pole -p1 + pi*i - i*theta crosses the upper line at -p1 - pi*i/2 when theta =
     3pi/2.  u0 keeps that crossing, for k1 and for k2, at least h/8 in u
     from every node of both grids, and upper_grid hands (line, h, u0) to
     the pole correction of solver.u1_field.
@@ -449,8 +450,12 @@ def decomposition_contour(p: ProblemParams, rho_min: float = 0.25) -> ContourPol
     d = (t[1] - t[0]) % 1.0
     u0 = 0.5 * h * ((t[0] + 0.5 * d + (0.0 if d > 0.5 else 0.5)) % 1.0)
 
+    # y(u) = S*asinh(x/S) grows by at most h per step in u, so a cut at
+    # this abscissa keeps a node at |x| >= Wmax on either side.
+    X = _Line.S * math.sinh(math.asinh(Wmax / _Line.S) + h / _Line.S)
+
     def build(step, label, refiner=None):
-        _, w, dw = upper.nodes(step, Wmax, u0)
+        _, w, dw = upper.nodes(step, X, u0)
         n = w.size
         # Gamma_{-5pi/2} is Gamma_{-pi/2} moved down by 2pi*i.
         cont = ContourPolyline(np.concatenate([w - 2j * PI, w[::-1]]),

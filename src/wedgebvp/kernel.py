@@ -51,15 +51,31 @@ The R integral is a trapezoid sum in the parameter u of contour._Line,
 with step h from a = arctan(Im omega / Re omega) (_Line.step) and tails to
 |Re tau| = 34*Phi/pi.  With v_j = e^{2c*tau_j}, B = e^{2c*w} and weights
 d_j, Sum d_j*coth(c*(tau_j - w)) = -Sum d_j + 2*Sum d_j*v_j/(v_j - B), a
-Cauchy sum in B that runs in blocks of _CAUCHY_BLOCK (point, node) pairs as
-two real matrix products per block.  A simple pole of the u-integrand with
-residue R at u* near the real axis is restored by adding
-pi*R*(cot(pi*(u* - u0)/h) + i*sign(Im u*)) (Trefethen and Weideman, SIAM
-Rev. 56 (2014)): per point for the coth's pole tau* = w or w - 2i*Phi when
-sigma is near 0 or 2*Phi, residue R(tau*)/c, located by _Line.locate and
-summed on the grid shifted by h/2 when it lies within h/4 of a node; and
-per engine for the G2 poles near L.  The sum is automorphic under h1 to
-rounding by itself, so no fold by h1 is needed.
+Cauchy sum in B.
+
+The sum is split by each point's Re w = log|B|/2c into bins of width 2 about
+x_c.  Nodes with |x_j - x_c| < Delta = 37/(2c*P) + 1 are summed directly in
+blocks of _CAUCHY_BLOCK (point, node) pairs, two real matrix products per
+block.  Beyond, r = |B/v_j| or |v_j/B| is at most e^{-37/P} on the whole
+bin, so d_j*v_j/(v_j - B) = d_j*Sum_p (B/v_j)^p or -d_j*Sum_p (v_j/B)^(p+1)
+cut after P = 24 terms leaves r^P/(1 - r) < 2^-53 of each term: with
+B_c = e^{2c*x_c} each side is P moments, Sum d_j*(B_c/v_j)^p or
+Sum d_j*(v_j/B_c)^(p+1), times powers of B/B_c.  The moments depend on the
+grid and the bin only and are made on first use.
+
+A simple pole of the u-integrand with residue R at u* near the real axis
+is restored by adding pi*R*(cot(pi*(u* - u0)/h) + i*sign(Im u*))
+(Trefethen and Weideman, SIAM Rev. 56 (2014)): per point for the coth's pole
+tau* = w or w - 2i*Phi when sigma is near 0 or 2*Phi, residue R(tau*)/c,
+located by _Line.locate and summed on the grid shifted by h/2 when it lies
+within h/4 of a node; and per engine for the G2 poles near L.  The sum is
+automorphic under h1 to rounding by itself, so no fold by h1 is needed.
+
+The coth(c*(w - a)) of the linear term (a = pi*i/2) and of T1 + T2 in
+v11_hat are (B + e^{2ca})/(B - e^{2ca}), B from _exp2c.  Near a pole this
+rounds like tanh(c*(w - a)), whose argument carries the rounding of w - a;
+within 1/(4c) of pi*i/2, where the linear term is analytic but
+B - e^{i*pi*c} cancels, the complex tanh stays, as in the public T1 and T2.
 
 In the Elementary branch each coth((w - a)/3) term of Q (period 3*pi*i) and
 the pi*i-periodic G2 inside m are evaluated at the translate of w - a (of w
@@ -71,6 +87,7 @@ pole up to 5e-13 of the difference-equation residual.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
@@ -154,10 +171,16 @@ def _coth(z: np.ndarray) -> np.ndarray:
         return 1.0 / np.tanh(z)
 
 
-# Pairs of (evaluation point, line node) per block of the Cauchy sum: the
-# three real work arrays of this many doubles, reused from block to block,
-# stay cache resident.
+# Pairs of (evaluation point, line node) per block of the Cauchy sum, and
+# of (point, power) per block of its far field: the work arrays of this many
+# numbers, reused from block to block, stay cache resident.
 _CAUCHY_BLOCK = 1 << 14
+
+# Bin width in Re w and moments per side of the split Cauchy sum (see the
+# numerical notes); the window 37/(2c*_MOMENTS) + _BIN/2 makes the series
+# left out below 2^-53 of each term.
+_BIN = 2.0
+_MOMENTS = 24
 
 # Tail of the carrier: the density decays like e^{-pi*|x|/Phi}, and cutting
 # it at |x| = X leaves e^{-_TAIL_EXP}.
@@ -172,10 +195,10 @@ _NEAR_STEPS = 7.0
 class _Grid:
     """One trapezoid grid u0 + j*h on the carrier, ready for the Cauchy sum.
 
-    Node j carries v_j = e^{2c*tau_j} and the weight d_j = R(tau_j) *
-    tau'(u_j) * h; D_ri holds Re and Im of d_j * v_j.  Per density pole q
-    near the carrier, poles_v holds e^{2c*q} and poles_kappa its
-    _missed_pole term.
+    Node j carries v_j = e^{2c*tau_j}, |v_j| ascending with j, and the
+    weight d_j = R(tau_j) * tau'(u_j) * h; D_ri holds Re and Im of d_j * v_j.
+    Per density pole q near the carrier, poles_v holds e^{2c*q} and
+    poles_kappa its _missed_pole term.
     """
 
     v_re: np.ndarray
@@ -186,10 +209,36 @@ class _Grid:
     poles_kappa: np.ndarray
 
 
-class KernelEngine:
-    """Immutable evaluator of G, G2, v11 and v1 for one (params, k) pair.
+def _direct_sum(B: np.ndarray, grid: _Grid, lo: int, hi: int) -> np.ndarray:
+    """Sum of D_j/(v_j - B) over the nodes lo..hi-1 of grid: with dx + i*dy =
+    v_j - B scaled by 1/r2 = 1/|v_j - B|^2, two real (rows, n) x (n, 2)
+    products per block of _CAUCHY_BLOCK (point, node) pairs."""
+    v_re, v_im, D_ri = grid.v_re[lo:hi], grid.v_im[lo:hi], grid.D_ri[lo:hi]
+    out = np.empty(B.shape, dtype=complex)
+    rows = max(1, min(B.size, _CAUCHY_BLOCK // max(1, v_re.size)))
+    work = np.empty((3, rows, v_re.size))
+    for r0 in range(0, B.size, rows):
+        bc = B[r0:r0 + rows]
+        dx, dy, r2 = work[:, :bc.size]
+        np.subtract(v_re, bc.real[:, None], out=dx)
+        np.subtract(v_im, bc.imag[:, None], out=dy)
+        np.multiply(dx, dx, out=r2)
+        r2 += dy * dy
+        np.divide(1.0, r2, out=r2)
+        dx *= r2
+        dy *= r2
+        a = dx @ D_ri
+        b = dy @ D_ri
+        out[r0:r0 + rows] = (a[:, 0] + b[:, 1]) + 1j * (a[:, 1] - b[:, 0])
+    return out
 
-    Build with :func:`build_engine`.
+
+class KernelEngine:
+    """Evaluator of G, G2, v11 and v1 for one (params, k) pair.
+
+    Build with :func:`build_engine`.  Its results never change; the only
+    state it adds after the build is the far-field moments of the Cauchy
+    sum, made per (grid, bin) on first use.
     """
 
     def __init__(self, params: ProblemParams, k: float):
@@ -373,38 +422,73 @@ class KernelEngine:
             ))
         self.line_nodes = self._grids[0].v_re.size
         self.line_X = X
+        self._window = 37.0 / (2.0 * c * _MOMENTS) + 0.5 * _BIN
+        # Far-field moments per (grid index, bin), filled by _far_field.
+        self._far: dict = {}
         # The growth condition needs no constant (see the module docstring).
         self.const_C2 = 0.0 + 0.0j
 
-    def _cauchy_sum(self, B: np.ndarray, grid: _Grid) -> np.ndarray:
-        """Sum of d_j*coth(c*(tau_j - w)) = -Sum d_j + 2*Sum d_j*v_j/(v_j - B).
+    def _far_field(self, g: int, k: int):
+        """(lo, hi, B_c, coef) of bin k on grid g, made on first use: the
+        window lo..hi-1, B_c = e^{2c*x_c}, and the moments Sum_{j >= hi}
+        d_j*(B_c/v_j)^p and -Sum_{j < lo} d_j*(v_j/B_c)^(p+1), p < _MOMENTS,
+        taken as D_j/B_c times powers of B_c/v_j or v_j/B_c."""
+        hit = self._far.get((g, k))
+        if hit is None:
+            grid = self._grids[g]
+            v = grid.v_re + 1j * grid.v_im
+            D = grid.D_ri[:, 0] + 1j * grid.D_ri[:, 1]
+            xc = _BIN * (k + 0.5)
+            bc = math.exp(2.0 * self._c * xc)
+            edges = np.exp(2.0 * self._c * (xc + np.array([-1.0, 1.0]) * self._window))
+            lo, hi = np.searchsorted(np.abs(v), edges)
+            pw = np.ones((_MOMENTS + 1, v.size - hi + lo), dtype=complex)
+            pw[1:] = np.concatenate([bc / v[hi:], v[:lo] / bc])
+            np.cumprod(pw, axis=0, out=pw)
+            n = v.size - hi
+            coef = np.concatenate([pw[1:, :n] @ D[hi:], -(pw[:-1, n:] @ D[:lo])]) / bc
+            hit = self._far[(g, k)] = (int(lo), int(hi), bc, coef)
+        return hit
 
-        1/(v_j - B) = (dx - i*dy)/r2 with dx + i*dy = v_j - B, so with dx, dy
-        scaled by 1/r2 the second sum is two real (rows, N) x (N, 2)
-        products.
+    def _cauchy_sum(self, B: np.ndarray, g: int) -> np.ndarray:
+        """Sum_j D_j/(v_j - B) over the nodes of grid g.
+
+        Points go by bin, Re w = log|B|/2c: _direct_sum takes the bin's
+        window and the bin's moments the nodes beyond it, on the powers of
+        t = B/B_c, made in blocks of _CAUCHY_BLOCK (point, power) pairs.
         """
+        grid = self._grids[g]
+        k = np.floor(np.log(np.abs(B)) / (2.0 * self._c * _BIN)).astype(int)
+        order = np.argsort(k, kind="stable")
+        B, k = B[order], k[order]
+        cuts = np.r_[0, np.flatnonzero(np.diff(k)) + 1, k.size]
+        bins = [self._far_field(g, int(k[a])) for a in cuts[:-1]]
+        t = B / np.repeat([f[2] for f in bins], np.diff(cuts))
+        n = _MOMENTS
+        rows = min(B.size, _CAUCHY_BLOCK // (2 * n))
+        work = np.empty((2 * n, rows), dtype=complex)
+        s = np.empty(B.shape, dtype=complex)
+        for r0 in range(0, B.size, rows):
+            r1 = min(r0 + rows, B.size)
+            # pw[p] = t^p and pw[n + p] = t^-(p+1), p < n.
+            pw = work[:, :r1 - r0]
+            pw[0], pw[1], pw[n] = 1.0, t[r0:r1], 1.0 / t[r0:r1]
+            for p in (*range(2, n), *range(n + 1, 2 * n)):
+                np.multiply(pw[p - 1], pw[1 if p < n else n], out=pw[p])
+            for (lo, hi, _, coef), a, b in zip(bins, cuts[:-1], cuts[1:]):
+                a, b = max(a, r0), min(b, r1)
+                if a < b:
+                    s[a:b] = (_direct_sum(B[a:b], grid, lo, hi)
+                              + coef @ pw[:, a - r0:b - r0])
         out = np.empty(B.shape, dtype=complex)
-        rows = max(1, min(B.size, _CAUCHY_BLOCK // grid.v_re.size))
-        work = np.empty((3, rows, grid.v_re.size))
-        for lo in range(0, B.size, rows):
-            bc = B[lo:lo + rows]
-            dx, dy, r2 = work[:, :bc.size]
-            np.subtract(grid.v_re, bc.real[:, None], out=dx)
-            np.subtract(grid.v_im, bc.imag[:, None], out=dy)
-            np.multiply(dx, dx, out=r2)
-            r2 += dy * dy
-            np.divide(1.0, r2, out=r2)
-            dx *= r2
-            dy *= r2
-            a = dx @ grid.D_ri
-            b = dy @ grid.D_ri
-            out[lo:lo + rows] = (a[:, 0] + b[:, 1]) + 1j * (a[:, 1] - b[:, 0])
-        out *= 2.0
-        out -= grid.sum_d
-        if grid.poles_v.size:
-            pv = grid.poles_v[None, :]
-            out += ((pv + B[:, None]) / (pv - B[:, None])) @ grid.poles_kappa
+        out[order] = s
         return out
+
+    def _exp2c(self, w: np.ndarray) -> np.ndarray:
+        """B = e^{2cw}, Re w clipped at X + 80: beyond it every coth(c*(tau_j
+        - w)) and coth(c*(w - a)) here is -+1 to rounding, and B stays finite."""
+        lim = self.line_X + 80.0
+        return np.exp(2.0 * self._c * (np.clip(w.real, -lim, lim) + 1j * w.imag))
 
     # ------------------------------------------------------------------
     # a1 with strip reduction
@@ -415,10 +499,7 @@ class KernelEngine:
         h = self.line_h
         two_phi = 2.0 * self.phi
         sig = self._sigma(w)
-        # Beyond |Re w| = X + 80 every coth(c*(tau_j - w)) is -+1 to double
-        # precision; clipping keeps B finite.
-        lim = self.line_X + 80.0
-        B = np.exp(2.0 * c * (np.clip(w.real, -lim, lim) + 1j * w.imag))
+        B = self._exp2c(w)
 
         # The poles tau* = w (above L, sigma near 0) and w - 2i*Phi (below
         # L, sigma near 2*Phi) of coth(c*(tau - w)), located in u.  Beyond
@@ -447,16 +528,25 @@ class KernelEngine:
         for g, grid in enumerate(self._grids):
             idx = np.flatnonzero(grid_of == g)
             if idx.size:
-                out[idx] = self._cauchy_sum(B[idx], grid)
+                b = B[idx]
+                out[idx] = 2.0 * self._cauchy_sum(b, g) - grid.sum_d
+                if grid.poles_v.size:
+                    pv = grid.poles_v[None, :]
+                    out[idx] += ((pv + b[:, None]) / (pv - b[:, None])) @ grid.poles_kappa
         for side, idx, zstar, u_s in poles:
             # On L itself (sigma = 0) this is the limit from inside the strip.
             u0 = 0.5 * h * grid_of[idx]
             res = self._density(zstar) / c
             out[idx] += _missed_pole(res, u_s, u0, h, side)
 
+        # zc*coth(c*zc) from B, but by tanh near zc = 0 (see the notes).
         zc = w - 0.5j * PI
+        A = cmath.exp(1j * PI * c)
         with np.errstate(divide="ignore", invalid="ignore"):
-            lin = np.where(zc == 0.0, 1.0 / c, zc * _coth(c * zc))
+            lin = zc * (B + A) / (B - A)
+            near = np.flatnonzero(np.abs(zc) < 0.25 / c)
+            z = zc[near]
+            lin[near] = np.where(z == 0.0, 1.0 / c, z * _coth(c * z))
         return (out / (4j * self.phi) + (math.sin(self.phi) / self.phi) * lin
                 + self.const_C2)
 
@@ -490,9 +580,19 @@ class KernelEngine:
         if self.kind == "Elementary":
             val = self.m_func(arr) + self.Q_func(arr)
         else:
-            val = self.a1_hat(arr) + self.T2(arr)
+            val = self.a1_hat(arr)
+            # T2 (+ T1) = c*r*(coth(c*(w - a)) - coth(c*(w - pi*i + a))), from
+            # one B (see the numerical notes).
+            terms = [(self.branch.p1, self.branch.r2, "T2")]
             if self.phi > 1.5 * PI:
-                val = val + self.T1(arr)
+                terms.append((self.q1, self.branch.r1, "T1"))
+            for a, _, what in terms:
+                _guard(arr, (a, -a + 1j * PI), 2j * self.phi,
+                       self.tol.pole_clearance, what)
+            B, c = self._exp2c(arr), self._c
+            for a, r, _ in terms:
+                A, A2 = cmath.exp(2.0 * c * a), cmath.exp(2.0 * c * (1j * PI - a))
+                val = val + c * r * ((B + A) / (B - A) - (B + A2) / (B - A2))
         return _ret(np.asarray(val), scalar)
 
     def v1_hat(self, w):

@@ -112,14 +112,13 @@ def residue_at(f: Callable, w0: complex, r: float = 0.1) -> complex:
 
     The trapezoid rule converges geometrically on the circle; the result with
     N=256 nodes is accepted only if doubling N moves it by less than 1e-10.
+    f is evaluated once, on the 512 nodes; the even ones are the 256-node ring.
     """
-    def ring(n):
-        th = TWO_PI * np.arange(n) / n
-        z = w0 + r * np.exp(1j * th)
-        return complex(np.mean(np.asarray(f(z)) * (z - w0)))
-
-    a = ring(256)
-    b = ring(512)
+    th = TWO_PI * np.arange(512) / 512
+    z = w0 + r * np.exp(1j * th)
+    g = np.asarray(f(z)) * (z - w0)
+    a = complex(np.mean(g[::2]))
+    b = complex(np.mean(g))
     if abs(a - b) > 1e-10:
         raise ConvergenceError(
             f"residue at {w0:.6g} not converged: N doubling moved it by "

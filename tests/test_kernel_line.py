@@ -8,6 +8,10 @@ Three references check it:
 * the mean-value property of analytic functions, which shares nothing;
 * continuity of v1 across Re w = 0, where an earlier construction folded
   the plane by the automorphy h1 and jumped.
+
+The carrier sum itself is checked against its own whole-grid direct sum:
+the far-field moments that replace the nodes beyond a bin's window must
+agree with it to rounding, on every bin out to the clip |Re w| = X + 80.
 """
 
 import math
@@ -17,7 +21,7 @@ import pytest
 
 from oracle import a1_difference
 from wedgebvp.core import PI, ProblemParams
-from wedgebvp.kernel import build_engine
+from wedgebvp.kernel import _BIN, _MOMENTS, _direct_sum, build_engine
 from wedgebvp.verify import check_pole_portrait
 
 
@@ -153,3 +157,75 @@ def test_pole_portrait_at_strongly_tilted_omega():
     result = check_pole_portrait(e)
     assert result.passed, result.context
 
+
+
+_EPS = np.finfo(float).eps
+_FAR_CONFIGS = [(omega, phi) for phi in (1.2 * PI, 4 * PI / 3, 7 * PI / 4, 1.95 * PI)
+                for omega in (1j, 0.5 + 1j, 1 + 0.3j)]
+
+
+def _points_in_every_bin(e):
+    """Three strip points per bin of width _BIN out to the clip X + 80."""
+    lim = e.line_X + 80.0
+    rng = np.random.default_rng(20261021)
+    x = np.arange(-lim, lim, _BIN / 3.0) + rng.uniform(0.0, _BIN / 3.0)
+    x = np.clip(x, -lim, lim)
+    sigma = rng.uniform(0.0, 2.0 * e.phi, x.size)
+    return np.array([_strip_point(e, xi, si) for xi, si in zip(x, sigma)])
+
+
+@pytest.mark.parametrize("omega, phi", _FAR_CONFIGS)
+def test_far_field_sum_matches_the_direct_sum(omega, phi):
+    e = build_engine(ProblemParams(omega=omega, phi=phi))
+    B = np.exp(2.0 * e._c * _points_in_every_bin(e))
+    for g, grid in enumerate(e._grids):
+        split = e._cauchy_sum(B, g)
+        whole = _direct_sum(B, grid, 0, grid.v_re.size)
+        v = grid.v_re + 1j * grid.v_im
+        D = grid.D_ri[:, 0] + 1j * grid.D_ri[:, 1]
+        scale = np.sum(np.abs(D / (v - B[:, None])), axis=1)
+        assert np.all(np.abs(split - whole) <= 4.0 * _EPS * scale), (g, np.max(
+            np.abs(split - whole) / (_EPS * scale)))
+
+
+@pytest.mark.parametrize("omega, phi", _FAR_CONFIGS)
+def test_far_field_remainder_below_rounding_on_every_bin(omega, phi):
+    # On a bin centred at x_c every point has |Re w - x_c| <= _BIN/2, so the
+    # ratio of the geometric series is at most r = max e^{-2c*(|x_j - x_c| -
+    # _BIN/2)} over the nodes beyond the window.
+    e = build_engine(ProblemParams(omega=omega, phi=phi))
+    B = np.exp(2.0 * e._c * _points_in_every_bin(e))
+    bins = np.unique(np.floor(np.log(np.abs(B)) / (2.0 * e._c * _BIN)).astype(int))
+    assert bins.size >= 2.0 * (e.line_X + 80.0) / _BIN
+    for g, grid in enumerate(e._grids):
+        x = np.log(np.hypot(grid.v_re, grid.v_im)) / (2.0 * e._c)
+        for k in bins:
+            lo, hi, bc, coef = e._far_field(g, int(k))
+            xc = _BIN * (k + 0.5)
+            far = np.abs(np.concatenate([x[hi:], x[:lo]]) - xc)
+            if far.size:
+                r = math.exp(-2.0 * e._c * (far.min() - 0.5 * _BIN))
+                assert r ** _MOMENTS / (1.0 - r) <= 2.0 ** -53, (g, k)
+            assert math.isclose(math.log(bc), 2.0 * e._c * xc)
+
+
+@pytest.mark.parametrize("omega, phi", [(1j, 4 * PI / 3), (0.5 + 1j, 7 * PI / 4),
+                                        (1 + 0.3j, 1.95 * PI), (1 + 0.3j, 1.2 * PI)])
+def test_t_terms_from_the_exponential_match_t1_and_t2(omega, phi):
+    # v11 - a1 is T2 (+ T1 for Phi > 3*pi/2), taken in v11_hat from one
+    # e^{2cw}; the public T1, T2 take each coth from a complex tanh.  Both
+    # round w - a, so near a pole at distance d they agree to about
+    # eps*|w|/d relative.
+    e = build_engine(ProblemParams(omega=omega, phi=phi))
+    anchors = [e.branch.p1, -e.branch.p1 + 1j * PI]
+    if phi > 1.5 * PI:
+        anchors += [e.q1, -e.q1 + 1j * PI]
+    d = np.array([1.01e-3, 1e-2, 1e-1])
+    for a in anchors:
+        for n in (-1, 0, 1):
+            w = (a + 2j * phi * n + d[:, None] * np.exp(1j * np.array([0.3, 2.0, 4.0]))).ravel()
+            dist = np.repeat(d, 3)
+            got = e.v11_hat(w) - e.a1_hat(w)
+            want = e.T2(w) + (e.T1(w) if phi > 1.5 * PI else 0.0)
+            tol = 64.0 * _EPS * (2.0 + np.abs(w)) / dist * np.abs(want)
+            assert np.all(np.abs(got - want) <= tol), (a, n)

@@ -438,6 +438,28 @@ def test_lines_give_boundary_values_far_out(p):
         assert abs(u1_field(dark, e1, dec).value) <= 1e-12
 
 
+def test_lines_certify_their_own_rho_min():
+    # The lines' last node lay up to one x-step short of the cutoff Wmax,
+    # at 20.386 here, where the tail bound is 1.53e-7 and u1_field raised
+    # GeometryError for the rho_min the contour was built for.
+    p = ProblemParams(omega=0.05j, phi=4 * PI / 3)
+    dec = decomposition_contour(p, rho_min=1e-6)
+    s = u1_field(PolarPoint(1e-6, p.theta_max), build_engine(p), dec)
+    assert abs(s.value - cmath.exp(-1e-6j)) <= 1e-10
+
+
+def test_lines_certify_rho_min_over_a_seeded_sweep():
+    # The lines do not depend on Phi; the Elementary engine keeps the
+    # kernel cheap on the long lines of small tilt.
+    rng = np.random.default_rng(20261021)
+    for _ in range(100):
+        p = ProblemParams(omega=complex(rng.uniform(0.0, 2.0), rng.uniform(0.03, 3.0)),
+                          phi=1.5 * PI)
+        rho_min = 10.0 ** rng.uniform(-6.0, 0.0)
+        dec = decomposition_contour(p, rho_min=rho_min)
+        u1_field(PolarPoint(rho_min, p.theta_max), build_engine(p), dec)
+
+
 def test_lines_field_is_continuous_on_the_ray(setup):
     # On the lines the plane-wave share and the side of the pole correction
     # switch at theta = 3pi/2; the checked field does not jump there.
