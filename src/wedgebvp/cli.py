@@ -188,7 +188,7 @@ def _cmd_decompose(cfg: RunConfig, rho: float) -> int:
             full = solver.u1_field(pt, engine, cont).value
             # The principal value is needed exactly on the ray (share 1/2).
             dec_s = solver.u1_decomposed(pt, engine, dec, pv=share == 0.5)
-            up = solver.u_plane(pt, engine) if th >= 1.5 * PI else 0.0 + 0.0j
+            up = solver.u_plane(pt, engine) if share else 0.0 + 0.0j
             ud = dec_s.value - share * up
             fh.write(
                 f"{th:.17g},{up.real:.17g},{up.imag:.17g},"

@@ -25,14 +25,14 @@ Contours provided:
   vertical link at Re w = -b) and C1 is its image under w -> -w - 3pi*i,
   the right-hand loop between the same two curves.  Quadrature is
   composite Gauss-Legendre per panel, tail panels uniform in sinh(Re w).
-  The acceptance tests, origin_probe, the kernel-dump verb and the
-  reference sides of verify's decomposition and contour-independence checks
-  integrate on it.
+  The acceptance tests, the kernel-dump verb, the decompose verb's u1
+  column and the reference sides of verify's decomposition and
+  contour-independence checks integrate on it.
 * the decomposition contour Gamma_{-5pi/2} (left to right) followed by
   Gamma_{-pi/2} (right to left), two trapezoid lines on which the solver
   corrects the moving kernel pole and adds the plane wave.  The field verb,
   the decompose verb's u_d column and verify's boundary and helmholtz
-  checks integrate on it.
+  checks and origin_probe integrate on it.
 
 A whole Gamma_alpha line is laid out for the trapezoid rule in a parameter
 u by _Line, and a simple pole near it is restored by _missed_pole.  The
@@ -88,10 +88,9 @@ def truncation_cutoff(omega: complex, rho: float, tol: float) -> float:
 class ContourPolyline:
     """Discretized oriented contour with its quadrature data.
 
-    nodes carry (w, dw, weight): the integral of f along the contour is
-    sum(f(w) * dw * weight), with dw the tangent times the panel scale and
-    weight the reference Gauss-Legendre weight, or, on trapezoid lines, dw
-    the step times dw/du and weight 1.
+    nodes carry (w, dw): the integral of f along the contour is
+    sum(f(w) * dw), with dw the tangent times the panel scale times the
+    Gauss-Legendre weight, or, on trapezoid lines, the step times dw/du.
 
     Besides the nodes a contour keeps what the field integrand needs of them:
 
@@ -103,8 +102,9 @@ class ContourPolyline:
     * sinh(w) on all nodes (sinh_w), computed on first use;
     * the last exponential factor e^{-omega*rho*sinh w} that exp_factor
       produced on the first half, in a one-entry slot keyed on (omega, rho);
-    * cache, the folded kernel columns, the moving-pole distance and its
-      preimage per (engine, theta) that the solver fills.
+    * cache, one record per (engine, theta) that the solver fills: the
+      folded kernel column and, on the Gamma lines, the moving pole's
+      correction and the plane-wave share.
 
     The refined contour keeps its own.
     """
@@ -113,14 +113,12 @@ class ContourPolyline:
         self,
         w: np.ndarray,
         dw: np.ndarray,
-        weight: np.ndarray,
         label: str,
         mirror: np.ndarray,
         refiner: Optional[Callable[[], "ContourPolyline"]] = None,
     ):
         self.w = np.asarray(w, dtype=complex)
         self.dw = np.asarray(dw, dtype=complex)
-        self.weight = np.asarray(weight, dtype=float)
         self.label = label
         self.mirror = np.asarray(mirror, dtype=np.intp)
         self._refiner = refiner
@@ -137,7 +135,7 @@ class ContourPolyline:
         return self.w.size
 
     def integrate(self, fvals: np.ndarray) -> complex:
-        return complex(np.sum(np.asarray(fvals) * self.dw * self.weight))
+        return complex(np.sum(np.asarray(fvals) * self.dw))
 
     @property
     def sinh_w(self) -> np.ndarray:
@@ -165,16 +163,16 @@ class ContourPolyline:
         return self._refined
 
 
-def _panel_nodes(breaks: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Composite Gauss nodes/scales/weights on the panels given by breaks."""
+def _panel_nodes(breaks: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss nodes and their weights (panel scale included) on the
+    panels given by breaks."""
     a = np.asarray(breaks[:-1], dtype=float)
     b = np.asarray(breaks[1:], dtype=float)
     half = 0.5 * (b - a)
     mid = 0.5 * (b + a)
     s = (mid[:, None] + half[:, None] * _GX[None, :]).ravel()
-    scale = np.repeat(half, _GAUSS_N)
-    wt = np.tile(_GW, a.size)
-    return s, scale, wt
+    scale = np.repeat(half, _GAUSS_N) * np.tile(_GW, a.size)
+    return s, scale
 
 
 def _tail_breaks(w1_from: float, w1_to: float, n_panels: int) -> np.ndarray:
@@ -185,22 +183,22 @@ def _tail_breaks(w1_from: float, w1_to: float, n_panels: int) -> np.ndarray:
 
 def _gamma_piece(
     omega: complex, alpha: float, breaks: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray]:
     """Gauss panels on Gamma_alpha, traversed in the order of the breaks."""
-    s, scale, wt = _panel_nodes(breaks)
+    s, scale = _panel_nodes(breaks)
     w = _gamma_points(omega, alpha, s)
     dw = (1.0 + 1j * _gamma_slope(omega, s)) * scale
-    return w, dw, wt
+    return w, dw
 
 
 def _vertical_piece(
     x: float, y_from: float, y_to: float, n_panels: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray]:
     breaks = np.linspace(y_from, y_to, n_panels + 1)
-    s, scale, wt = _panel_nodes(breaks)
+    s, scale = _panel_nodes(breaks)
     w = x + 1j * s
     dw = 1j * scale
-    return w, dw, wt
+    return w, dw
 
 
 def _missed_pole(res, u_star, u0: float, h: float, side):
@@ -409,7 +407,7 @@ def sommerfeld_double_loop(p: ProblemParams, rho_min: float = 0.25) -> ContourPo
         y_b = gamma_height(p.omega, -b)
         tail = _tail_breaks(-Wmax, -b, n_tail)
         # Lower tail, vertical link, upper tail.
-        w2, dw2, wt2 = (np.concatenate(parts) for parts in zip(
+        w2, dw2 = (np.concatenate(parts) for parts in zip(
             _gamma_piece(p.omega, a_lo, tail),
             _vertical_piece(-b, y_b + a_lo, y_b + a_hi, n_vert),
             _gamma_piece(p.omega, a_hi, tail[::-1]),
@@ -417,8 +415,7 @@ def sommerfeld_double_loop(p: ProblemParams, rho_min: float = 0.25) -> ContourPo
         # C1 = -C2 - 3pi*i, same node order (tangents flip sign with the map).
         return ContourPolyline(
             np.concatenate([w2, -w2 - 3j * PI]), np.concatenate([dw2, -dw2]),
-            np.concatenate([wt2, wt2]), label, np.arange(w2.size, 2 * w2.size),
-            refiner=refiner)
+            label, np.arange(w2.size, 2 * w2.size), refiner=refiner)
 
     cont = build(16, 8, "sommerfeld", lambda: build(32, 16, "sommerfeld_fine"))
     _check_pole_distance(p, cont.w, p.k1)
@@ -459,7 +456,7 @@ def decomposition_contour(p: ProblemParams, rho_min: float = 0.25) -> ContourPol
         n = w.size
         # Gamma_{-5pi/2} is Gamma_{-pi/2} moved down by 2pi*i.
         cont = ContourPolyline(np.concatenate([w - 2j * PI, w[::-1]]),
-                               np.concatenate([dw, -dw[::-1]]), np.ones(2 * n), label,
+                               np.concatenate([dw, -dw[::-1]]), label,
                                np.arange(2 * n - 1, n - 1, -1), refiner=refiner)
         cont.upper_grid = (upper, step, u0)
         return cont

@@ -28,10 +28,11 @@ the kernel, never assumed.
 On a fixed contour the factor e^{-omega*rho*sinh w} depends on omega and rho
 only, the kernel on (engine, theta) only.  The second half of each contour
 is the first moved by a period of sinh w (ContourPolyline.mirror), so
-_column folds each (engine, theta) column's v1*dw*weight onto the first
-half, once per contour, and the factor is taken on that half only: the
-contour's exp_factor slot keeps the last one, which u1 and u2 of one point
-share.  A value is one dot product over the half.  grid_eval evaluates
+_column keeps one record per (engine, theta): v1*dw folded onto the first
+half, with the moving-pole and plane-wave terms (none on the double loop),
+and the factor is taken on that half only: the contour's exp_factor slot
+keeps the last one, which u1 and u2 of one point share.  A value is one dot
+product over the half.  grid_eval evaluates
 u1_field or U_total at each of its points with rho outer, so the slot serves
 every theta of a radius: a grid takes the factor once per (contour, rho).
 """
@@ -45,9 +46,9 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .contour import ContourPolyline, _missed_pole, _tail_bound, sommerfeld_double_loop
+from .contour import ContourPolyline, _missed_pole, _tail_bound, decomposition_contour
 from .core import PI, TWO_PI, PolarPoint, ProblemParams, theta_reflect
-from .errors import DomainError, GeometryError, PoleError, QuadratureError, RayError, FitError, WedgeError
+from .errors import GeometryError, QuadratureError, RayError, FitError, WedgeError
 from .kernel import _NEAR_STEPS, KernelEngine
 
 
@@ -76,56 +77,39 @@ class GridSpec:
         return np.linspace(self.theta_min, self.theta_max, self.n_theta)
 
 
-def _column(contour: ContourPolyline, engine: KernelEngine, theta: float) -> np.ndarray:
-    """v1 on the theta-shifted nodes times dw*weight, folded onto the first
-    half of the nodes (ContourPolyline.mirror), cached per (engine, theta).
+def _column(contour: ContourPolyline, engine: KernelEngine, theta: float) -> tuple:
+    """The record (K, pole, share) of (engine, theta), cached on the contour.
+
+    K is v1*dw on the theta-shifted nodes, folded onto the first half of the
+    nodes (ContourPolyline.mirror).  On the Gamma lines pole is (w*, u*, u0,
+    h, side) of the moving pole w* for _missed_pole, or () where the kernel's
+    near test (_Line.reach, _NEAR_STEPS) or sheet test (side, the sign of
+    Im u*; 0 on the ray) rejects it, and share is plane_share(theta).  On the
+    double loop they are () and 0.
 
     The key holds the engine itself, not its id(): an id can be reused by a
     later engine once this one is freed.  The cache thus keeps each engine
     alive for as long as the contour.
     """
     key = (engine, round(float(theta), 15))
-    col = contour.cache.get(key)
-    if col is None:
-        f = engine.v1_hat(contour.w + 1j * theta) * contour.dw * contour.weight
-        col = contour.cache[key] = f[:contour.mirror.size] + f[contour.mirror]
-    return col
-
-
-def _pole_distance(contour: ContourPolyline, engine: KernelEngine, theta: float) -> float:
-    """Distance from the contour to the moving pole, cached beside the kernel.
-
-    It depends on (engine, theta) only, so the field at every rho of a
-    theta row reuses it.
-    """
-    key = ("pole_distance", engine, round(float(theta), 15))
-    dist = contour.cache.get(key)
-    if dist is None:
-        dist = float(np.min(np.abs(contour.w - _moving_pole(engine, theta))))
-        contour.cache[key] = dist
-    return dist
-
-
-def _pole_preimage(contour: ContourPolyline, engine: KernelEngine, theta: float) -> tuple:
-    """(w*, u*, side) of the moving pole w*, 3pi/2 - theta above the upper
-    line, cached; () if the kernel's near test (_Line.reach, _NEAR_STEPS) or
-    sheet test (side, the sign of Im u*; 0 on the ray) rejects it."""
-    key = ("pole_preimage", engine, round(float(theta), 15))
-    found = contour.cache.get(key)
-    if found is None:
-        found = ()
-        line, h, _ = contour.upper_grid
-        pole = _moving_pole(engine, theta)
-        offset = 1.5 * PI - theta
-        if (abs(pole.real) < contour.Wmax
-                and abs(offset) < line.reach(pole.real, _NEAR_STEPS * h)):
-            side = 0.0 if plane_share(theta) == 0.5 else math.copysign(1.0, offset)
-            u_s, ok = line.locate(np.array([pole]))
-            # A root on the wrong side of the real u axis lies on another sheet.
-            if ok[0] and side * u_s[0].imag > -1e-12:
-                found = (pole, complex(u_s[0]), side)
-        contour.cache[key] = found
-    return found
+    rec = contour.cache.get(key)
+    if rec is None:
+        f = engine.v1_hat(contour.w + 1j * theta) * contour.dw
+        pole, share = (), 0.0
+        if contour.upper_grid is not None:
+            line, h, u0 = contour.upper_grid
+            w_s = _moving_pole(engine, theta)
+            offset = 1.5 * PI - theta
+            share = plane_share(theta)
+            if (abs(w_s.real) < contour.Wmax
+                    and abs(offset) < line.reach(w_s.real, _NEAR_STEPS * h)):
+                side = 0.0 if share == 0.5 else math.copysign(1.0, offset)
+                u_s, ok = line.locate(np.array([w_s]))
+                # A root on the wrong side of the real u axis lies on another sheet.
+                if ok[0] and side * u_s[0].imag > -1e-12:
+                    pole = (w_s, complex(u_s[0]), u0, h, side)
+        rec = contour.cache[key] = (f[:contour.mirror.size] + f[contour.mirror], pole, share)
+    return rec
 
 
 def _certify_rho(engine: KernelEngine, contour: ContourPolyline, rho: float) -> None:
@@ -161,20 +145,17 @@ def u_plane(pt: PolarPoint, engine: KernelEngine) -> complex:
 
 
 def _integrate(engine: KernelEngine, contour: ContourPolyline, pt: PolarPoint) -> complex:
-    """u1 by the folded quadrature sum on one contour; on the Gamma lines
-    plus the missed part of the moving pole w* and plane_share(theta) * u_p."""
-    total = complex(np.dot(contour.exp_factor(engine.omega, pt.rho), _column(contour, engine, pt.theta)))
-    scale = 4.0 * PI * math.sin(engine.phi)
-    if contour.upper_grid is None:
-        return total / scale
-    found = _pole_preimage(contour, engine, pt.theta)
-    if found:
-        (pole, u_s, side), (_, h, u0) = found, contour.upper_grid
-        res = cmath.exp(-engine.omega * pt.rho * cmath.sinh(pole)) * 2j * math.sin(engine.phi)
+    """u1 by the folded quadrature sum on one contour, plus what the sum
+    misses of the moving pole w* and plane_share(theta) * u_p (_column)."""
+    K, pole, share = _column(contour, engine, pt.theta)
+    total = complex(np.dot(contour.exp_factor(engine.omega, pt.rho), K))
+    if pole:
+        w_s, *grid = pole
+        res = cmath.exp(-engine.omega * pt.rho * cmath.sinh(w_s)) * 2j * math.sin(engine.phi)
         # The upper line runs right to left, against u.
-        total -= _missed_pole(res, u_s, u0, h, side)
-    share = plane_share(pt.theta)
-    return total / scale + share * u_plane(pt, engine) if share else total / scale
+        total -= _missed_pole(res, *grid)
+    total /= 4.0 * PI * math.sin(engine.phi)
+    return total + share * u_plane(pt, engine) if share else total
 
 
 def u1_field(
@@ -185,17 +166,10 @@ def u1_field(
 ) -> FieldSample:
     """u1 on the double loop or the two Gamma lines, with error estimate by
     refinement.  On the double loop a moving pole within pole_clearance of a
-    node raises PoleError; on the lines _integrate corrects for it."""
+    node raises PoleError from the kernel sweep; on the lines _integrate
+    corrects for it."""
     pt.require_in_wedge(engine.params)
     _certify_rho(engine, contour, pt.rho)
-    if contour.upper_grid is None:
-        dist = _pole_distance(contour, engine, pt.theta)
-        if dist < engine.tol.pole_clearance:
-            pole = _moving_pole(engine, pt.theta)
-            raise PoleError(
-                f"moving pole {pole:.6g} within {dist:.3e} of contour",
-                nearest=pole, distance=dist,
-            )
     val = _integrate(engine, contour, pt)
     est = 0.0
     if check:
@@ -315,39 +289,31 @@ def field_csv(samples: Sequence[FieldSample], path, params: ProblemParams, times
             )
 
 
-def origin_probe(
-    engine: KernelEngine,
-    theta: float,
-    rho_ladder: Sequence[float] = (1e-2, 1e-3, 1e-4),
-    check: bool = False,
-):
+def origin_probe(engine: KernelEngine, theta: float):
     """Near-origin behavior: u -> C(theta), |grad u| ~ |C1(theta)|/rho.
 
     Returns (C_theta, grad_scaling, detail) where grad_scaling is the fitted
-    log-log slope of |grad u1| against rho (expected -1) and detail carries
-    the ladder values.
+    log-log slope of |grad u1| against rho = 1e-2, 1e-3, 1e-4 (expected -1)
+    and detail carries the ladder values, unchecked u1 on the Gamma lines.
     """
-    ladder = list(rho_ladder)
-    if any(b >= a for a, b in zip(ladder, ladder[1:])):
-        raise DomainError("rho_ladder must be strictly decreasing")
+    ladder = [1e-2, 1e-3, 1e-4]
     p = engine.params
+    cont = decomposition_contour(p, rho_min=0.5 * ladder[-1])
+
+    def at(xx, yy):
+        rr = math.hypot(xx, yy)
+        tt = math.atan2(yy, xx) % TWO_PI
+        if tt < p.theta_min:
+            tt += TWO_PI
+        return u1_field(PolarPoint(rr, tt), engine, cont, check=False).value
+
     vals = []
     grads = []
     for rho in ladder:
-        cont = sommerfeld_double_loop(p, rho_min=rho * 0.5)
-        pt = PolarPoint(rho, theta)
-        vals.append(u1_field(pt, engine, cont, check=check).value)
+        vals.append(u1_field(PolarPoint(rho, theta), engine, cont, check=False).value)
         h = min(1e-4 * max(rho, 1.0), 0.3 * rho)
         x = rho * math.cos(theta)
         y = rho * math.sin(theta)
-
-        def at(xx, yy):
-            rr = math.hypot(xx, yy)
-            tt = math.atan2(yy, xx) % TWO_PI
-            if tt < p.theta_min:
-                tt += TWO_PI
-            return u1_field(PolarPoint(rr, tt), engine, cont, check=check).value
-
         ux = (at(x + h, y) - at(x - h, y)) / (2.0 * h)
         uy = (at(x, y + h) - at(x, y - h)) / (2.0 * h)
         grads.append(math.hypot(abs(ux), abs(uy)))

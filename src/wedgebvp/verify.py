@@ -243,12 +243,12 @@ def check_boundary(
     engine1: KernelEngine,
     engine2: KernelEngine,
     contour,
-    rho_samples: Sequence[float] = (0.25, 0.5, 1.0, 2.0, 4.0),
 ) -> CheckResult:
     """Boundary values of u1 and of the total field on both wedge sides."""
+    rho_samples = [0.25, 0.5, 1.0, 2.0, 4.0]
     p = engine1.params
     worst = 0.0
-    ctx: Dict[str, object] = {"rho_samples": list(rho_samples)}
+    ctx: Dict[str, object] = {"rho_samples": rho_samples}
     for rho in rho_samples:
         top = PolarPoint(rho, p.theta_max)
         bot = PolarPoint(rho, p.theta_min)
@@ -269,7 +269,6 @@ def check_boundary(
 def check_helmholtz(
     engine: KernelEngine,
     contour,
-    points: Sequence[PolarPoint] = (),
     h: float = 3e-3,
 ) -> CheckResult:
     """Relative residual of (Laplacian + omega^2) u, polar 5-point stencil,
@@ -282,18 +281,16 @@ def check_helmholtz(
     measures the stencil truncation alone.
     """
     p = engine.params
-    if not points:
-        thetas = np.linspace(p.theta_min + 0.3, p.theta_max - 0.3, 5)
-        points = [PolarPoint(rho, float(th)) for rho in (0.8, 1.6) for th in thetas]
+    thetas = np.linspace(p.theta_min + 0.3, p.theta_max - 0.3, 5)
+    points = [(rho, float(th)) for rho in (0.8, 1.6) for th in thetas]
     om2 = engine.omega ** 2
     prefac = 1.0 / (4.0 * PI * math.sin(engine.phi))
     fine = contour.refined()
     worst = 0.0
     sweeps: dict = {}
-    for pt in points:
-        rho, th = pt.rho, pt.theta
+    for rho, th in points:
         ht = h / rho
-        if solver._pole_distance(fine, engine, th) < 2.0 * ht:
+        if np.min(np.abs(fine.w - solver._moving_pole(engine, th))) < 2.0 * ht:
             continue  # deformation corridor too narrow at this point
         # The solver caches v1 folded onto half of the nodes; the shifted
         # stencil values need it on every node.
@@ -352,8 +349,6 @@ def check_decomposition(
     engine: KernelEngine,
     contour,
     dec_contour,
-    rho: float = 1.0,
-    delta: float = 1e-3,
 ) -> CheckResult:
     """Decomposed vs double-loop field, and continuity across theta=3pi/2.
 
@@ -361,6 +356,7 @@ def check_decomposition(
     side of the pole correction switch.  For a jump J, D(d) = u1(3pi/2 + d)
     - u1(3pi/2 - d) = J + 2d*u1' + O(d^3): 2*D(delta/2) - D(delta) = J + O(d^3).
     """
+    rho, delta = 1.0, 1e-3
     thetas = [1.5 * PI + d for d in (0.4, 0.05, -0.05, -0.4)]
     worst = 0.0
     for th in thetas:

@@ -230,3 +230,24 @@ def test_field_command_keeps_every_point_at_a_second_wavenumber(tmp_path):
     assert lit.sum() == dark.sum() == 100
     assert np.max(np.abs(u[lit] - np.exp(-1j * data[lit, 0]))) <= 1e-12
     assert np.max(np.abs(u[dark] - np.exp(-2j * data[dark, 0]))) <= 1e-12
+
+
+def test_decompose_takes_the_plane_wave_beside_the_ray(tmp_path):
+    # plane_share is 1/2 within 1e-12 of the ray, where u1 = u_d + u_p/2 with
+    # u_d the principal value; a row 5e-13 below the ray must read the ray's
+    # u_p and u_d, not u_p = 0 and the one-sided limit of u_d.
+    out = tmp_path / "dec.csv"
+    cfgp = _write(
+        tmp_path, "d.cfg",
+        f"phi = {7 * math.pi / 4!r}\nomega_re = 0.5\n"
+        f"theta_min = {1.5 * math.pi - 5e-13!r}\ntheta_max = {1.5 * math.pi!r}\n"
+        f"n_theta = 2\nout_decompose = {out}\n",
+    )
+    assert main(["decompose", "--config", cfgp, "--rho", "1.0"]) == 0
+    data = np.loadtxt(out, delimiter=",", skiprows=3)
+    up = data[:, 1] + 1j * data[:, 2]
+    ud = data[:, 3] + 1j * data[:, 4]
+    u1 = data[:, 5] + 1j * data[:, 6]
+    assert np.all(np.abs(up) > 0.25)
+    assert abs(up[0] - up[1]) < 1e-12 and abs(ud[0] - ud[1]) < 1e-12
+    assert np.max(np.abs(ud + 0.5 * up - u1)) < 1e-12

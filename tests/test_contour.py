@@ -106,8 +106,7 @@ def test_decomposition_contour_flat_lines_for_imaginary_omega():
     assert np.max(np.abs(lower.imag + 2.5 * PI)) < 1e-14
     assert np.max(np.abs(upper.imag + 0.5 * PI)) < 1e-14
     # Orientation: the upper line is traversed right to left.
-    du = cont.dw[half:] * cont.weight[half:]
-    assert np.sum(du).real < 0.0
+    assert np.sum(cont.dw[half:]).real < 0.0
 
 
 def test_decomposition_matches_residue_of_rational_function():
